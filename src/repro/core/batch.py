@@ -1,13 +1,15 @@
-"""Continuous batching for the TEE decode path (vLLM/Orca-style).
+"""The TEE decode path: continuous batching (vLLM/Orca-style).
 
-The paper's TA serves one inference at a time (§4.2): the data region
-holds a single request's KV range and is fully released afterwards.
-This module multiplexes the *decode* phase instead: one
-:class:`DecodeBatchEngine` per TA runs every in-flight sequence through
-a shared fused :class:`~repro.llm.runtime.GraphExecutor` step, admitting
-new sequences from a waiting queue at token boundaries and evicting
-preempted ones by *parking* their KV blocks (the block list survives;
-resume re-joins the batch without re-running prefill).
+Every LLM TA request decodes through one :class:`DecodeBatchEngine`.
+Built with ``BatchConfig(max_batch_size=1)`` — the default — it is the
+paper's deployed TA (§4.2): one inference at a time, a data region that
+grows while decoding and is fully released afterwards.  Larger batches
+multiplex the *decode* phase: every in-flight sequence runs through a
+shared fused :class:`~repro.llm.runtime.GraphExecutor` step, new
+sequences are admitted from a waiting queue at token boundaries, and a
+serving gateway in batching mode evicts preempted ones by *parking*
+their KV blocks (the block list survives; resume re-joins the batch
+without re-running prefill).
 
 Memory stays inside the paper's model: all KV blocks live in the second
 TZASC region, which still only ever grows at its end (to the pool's
@@ -30,7 +32,11 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from ..errors import ConfigurationError, OutOfMemory
-from ..llm.graph import build_batched_decode_graph, build_chunked_prefill_graph
+from ..llm.graph import (
+    batched_attention_cost,
+    build_batched_decode_graph,
+    build_chunked_prefill_graph,
+)
 from ..llm.kv_cache import (
     BlockCheckpoint,
     KVBlockPool,
@@ -144,6 +150,12 @@ class BatchedSequence:
     prefill_remaining: int = 0
     #: sim time the prompt became fully resident (TTFT anchor).
     prefill_done_at: Optional[float] = None
+    #: data-region extensions made by the decode steps it was part of.
+    kv_extends: int = 0
+    #: §8 streaming decode: the parameter sweep prefetched during the
+    #: previous step, and the number of sweeps issued.
+    stream_pending: Optional[object] = None
+    stream_sweeps: int = 0
 
     @property
     def remaining(self) -> int:
@@ -225,6 +237,8 @@ class DecodeBatchEngine:
         #: the data region may only shrink when this reaches zero.
         self.inflight = 0
         self._executor: Optional[GraphExecutor] = None
+        #: fused-step graphs by batch size, with their attention ops.
+        self._step_graphs: Dict[int, tuple] = {}
         # engine-level stats (also exported through ta.metrics when set)
         self.steps = 0
         self.tokens_generated = 0
@@ -279,6 +293,14 @@ class DecodeBatchEngine:
             blocks, owner="" if request_id is None else "r%s" % request_id
         )
         return blocks
+
+    @property
+    def idle(self) -> bool:
+        """No sequence is in flight, active, waiting or parked: the
+        parameters may be released to the cache policy's prefix."""
+        return (
+            self.inflight == 0 and not self.active and not self.waiting and not self.parked
+        )
 
     @property
     def has_slot(self) -> bool:
@@ -383,23 +405,27 @@ class DecodeBatchEngine:
         needed = self.fixed_bytes + self.pool.backing_blocks * self.pool.block_bytes
         return -(-needed // granule) * granule
 
-    def ensure_backing(self):
+    def ensure_backing(self, threads: int = 1):
         """Extend the data region to cover every allocated block
-        (generator; the §4.2 mid-decode growth path, batched)."""
+        (generator; the §4.2 growth path).  Returns whether it extended.
+        ``threads`` parallelizes the REE's CMA migration: request setup
+        uses several, mid-decode growth one."""
         region = self.ta.data_region
         if self.backing_bytes_needed() <= region.allocated:
-            return
+            return False
         request = self._backing_lock.request()
         yield request
         try:
             # Re-check under the lock: a concurrent grower may have
             # covered this need while we queued.
             needed = self.backing_bytes_needed()
-            if needed > region.allocated:
-                delta = needed - region.allocated
-                yield from region.extend_allocated(delta, threads=1)
-                yield from region.extend_protected(delta)
-                self.kv_extends += 1
+            if needed <= region.allocated:
+                return False
+            delta = needed - region.allocated
+            yield from region.extend_allocated(delta, threads=threads)
+            yield from region.extend_protected(delta)
+            self.kv_extends += 1
+            return True
         finally:
             self._backing_lock.release(request)
 
@@ -443,22 +469,17 @@ class DecodeBatchEngine:
 
     def _sweep_gates(self) -> None:
         """Token-boundary preemption: evict gated sequences, parking the
-        ones the gateway can resume (a request identity is required to
-        key the parked checkpoint)."""
-        for seq in list(self.active):
-            if seq.gate is not None and seq.gate():
-                self.active.remove(seq)
-                self.evictions += 1
-                if seq.request_id is not None:
-                    self.park(seq, self.sim.now)
-                self._retire(seq, "evicted")
-        for seq in list(self.waiting):
-            if seq.gate is not None and seq.gate():
-                self.waiting.remove(seq)
-                self.evictions += 1
-                if seq.request_id is not None:
-                    self.park(seq, self.sim.now)
-                self._retire(seq, "evicted")
+        ones the gateway can resume — its gate says it resumes parked
+        sequences, and a request identity keys the checkpoint.  The
+        others are discarded for a from-scratch retry."""
+        for queue in (self.active, self.waiting):
+            for seq in list(queue):
+                if seq.gate is not None and seq.gate():
+                    queue.remove(seq)
+                    self.evictions += 1
+                    if seq.request_id is not None and seq.gate.park:
+                        self.park(seq, self.sim.now)
+                    self._retire(seq, "evicted")
 
     def _admit(self) -> None:
         while self.waiting and len(self.active) < self.config.max_batch_size:
@@ -541,6 +562,54 @@ class DecodeBatchEngine:
                 self.active.remove(seq)
                 self._retire(seq, "finished")
 
+    def _step_graph(self, kv_token_counts: List[int]):
+        """The fused step graph for this batch.  Only its attention cost
+        depends on the sequences' KV lengths, so one graph per batch size
+        is built once and its attention ops are resized every step."""
+        cached = self._step_graphs.get(len(kv_token_counts))
+        if cached is None:
+            ta = self.ta
+            graph = build_batched_decode_graph(
+                ta.model,
+                ta.container.tensors,
+                kv_token_counts,
+                use_npu=ta.decode_use_npu,
+                platform=ta.platform,
+            )
+            attention = [op for op in graph.ops if op.name.endswith(".attention")]
+            self._step_graphs[len(kv_token_counts)] = (graph, attention)
+            return graph
+        graph, attention = cached
+        flops, nbytes = batched_attention_cost(self.ta.model, kv_token_counts)
+        for op in attention:
+            op.flops = flops
+            op.bytes_touched = nbytes
+        return graph
+
+    def _stream_sweep(self):
+        """One flash sweep of the parameter suffix streaming decode keeps
+        evicted, then its decryption on the TA CPU (generator)."""
+        ta = self.ta
+        yield from ta.stack.kernel.fs.read(ta.file_path, 0, 0, nominal=ta.stream_bytes)
+        request = ta.cpu.request()
+        yield request
+        try:
+            yield self.sim.timeout(ta.backend.decrypt_duration(ta.stream_bytes, 4))
+        finally:
+            ta.cpu.release(request)
+
+    def _await_stream(self, seq: BatchedSequence):
+        """Double-buffered streaming (generator; §8): this step needs its
+        sweep complete before computing — a sequence's first step fetches
+        synchronously, later steps wait on the prefetch the previous step
+        issued — then prefetch the next step's sweep to overlap compute."""
+        if seq.stream_pending is None:
+            yield self.sim.process(self._stream_sweep(), name="decode-stream")
+        else:
+            yield seq.stream_pending
+        seq.stream_pending = self.sim.process(self._stream_sweep(), name="decode-stream")
+        seq.stream_sweeps += 1
+
     def _run(self):
         """The stepper process: one fused decode step over the resident
         sequences, then at most one bounded prefill chunk for the oldest
@@ -558,17 +627,17 @@ class DecodeBatchEngine:
                 self._prealloc_growth()
                 if not self.active:
                     continue
-                yield from self.ensure_backing()
                 batch = [s for s in self.active if s.prefill_remaining <= 0]
+                # A step's time covers its region growth and its wait for
+                # streamed parameters, as well as the fused compute.
+                start = self.sim.now
+                if (yield from self.ensure_backing()):
+                    for seq in batch:
+                        seq.kv_extends += 1
                 if batch:
-                    graph = build_batched_decode_graph(
-                        ta.model,
-                        ta.container.tensors,
-                        [seq.kv.tokens for seq in batch],
-                        use_npu=ta.decode_use_npu,
-                        platform=ta.platform,
-                    )
-                    start = self.sim.now
+                    if ta.stream_bytes:
+                        yield from self._await_stream(batch[0])
+                    graph = self._step_graph([seq.kv.tokens for seq in batch])
                     cpu0 = executor.cpu_busy_time
                     npu0 = executor.npu_busy_time
                     smc0 = executor.npu_overhead_time

@@ -10,31 +10,26 @@ One TA instance owns two secure regions (§4.2):
 
 An inference request runs: framework init (checkpoint restore, or cold
 init on the first request) → KV/activation region setup → pipelined
-prefill → decode loop with secure NPU jobs → data-region release and
-cache-policy-driven parameter release.
+prefill → decode in the TA's :class:`~repro.core.batch.DecodeBatchEngine`
+with secure NPU jobs → data-region release and cache-policy-driven
+parameter release.  The engine's default batch of one is the paper's
+single-stream TA.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from ..config import PlatformSpec
 from ..errors import ConfigurationError, StorageError
 from ..faults.recovery import RecoveryPolicy
-from ..hw.common import AddrRange
 from ..llm.checkpoint import cold_init, restore_checkpoint, save_checkpoint
 from ..llm.gguf import ModelContainer, container_path
 from ..llm.graph import build_chunked_prefill_graph, build_prefill_graph
-from ..llm.kv_cache import KVCache, PagedKVCache, PromptSpec
+from ..llm.kv_cache import PagedKVCache, PromptSpec
 from ..llm.models import ModelSpec
-from ..llm.runtime import (
-    DecodeResult,
-    GraphExecutor,
-    NPUBackend,
-    TEECoDriverNPUBackend,
-    decode_tokens,
-)
+from ..llm.runtime import DecodeResult
 from ..llm.tokenizer import Tokenizer
 from ..sim import Resource
 from ..stack import Stack
@@ -53,22 +48,28 @@ class PreemptionGate:
     """One request's preemption surface (the serving-scale Fig. 13 path).
 
     The gateway hands the TA a gate per dispatch; requesting it makes the
-    decode loop stop at the next token boundary, after which the TA runs
-    its normal release path (data region shrink, cache-policy parameter
-    release) and returns a record marked ``preempted``.  Preemption is
-    therefore always graceful: the TA stays serviceable and the cached
-    parameter prefix survives for the victim's retry.
+    decode engine evict the sequence at the next token boundary, after
+    which the TA runs its normal release path (data region shrink,
+    cache-policy parameter release) and returns a record marked
+    ``preempted``.  Preemption is therefore always graceful: the TA stays
+    serviceable and the cached parameter prefix survives for the
+    victim's retry.
 
-    The gate is callable so it can be passed directly as the decode
-    loop's ``stop_hook``.
+    ``park`` tells the TA the caller resumes parked sequences (a
+    batching gateway does): the evicted sequence keeps its KV blocks and
+    decoded tokens for a prefill-free resume instead of being discarded
+    for a from-scratch retry.
+
+    The gate is callable: the engine polls it at token boundaries.
     """
 
-    __slots__ = ("requested", "cause", "requested_at")
+    __slots__ = ("requested", "cause", "requested_at", "park")
 
-    def __init__(self):
+    def __init__(self, park: bool = False):
         self.requested = False
         self.cause = None
         self.requested_at: Optional[float] = None
+        self.park = park
 
     def request(self, cause=None, at: Optional[float] = None) -> None:
         """Ask the running request to yield the TA (idempotent)."""
@@ -116,8 +117,6 @@ class InferenceRecord:
     #: this attempt resumed a previously parked sequence (prefill and the
     #: partial decode were inherited, not re-run).
     resumed: bool = False
-    #: the request ran through the continuous-batching decode engine.
-    batched: bool = False
     #: absolute sim time of the first token — for a resumed attempt this
     #: is the *original* attempt's TTFT instant, which ``started_at +
     #: ttft`` can no longer express.
@@ -125,7 +124,7 @@ class InferenceRecord:
     #: gateway identity from the request's TraceContext (None for direct
     #: CA invocations) — keys the profiler's decode-attribution rows.
     request_id: Optional[int] = None
-    #: shared-prefix accounting (batched sharing path only): prompt
+    #: shared-prefix accounting (prefix-sharing path only): prompt
     #: tokens taken as whole-block tree hits (zero compute), tokens
     #: seeded by copy-on-write, and the miss suffix that really
     #: prefilled.  ``hit + cow + miss == prompt_tokens`` when sharing
@@ -179,6 +178,16 @@ class LLMTA(TrustedApplication):
         #: deployed behaviour (everything resident while decoding).
         if not 0.0 < decode_param_residency <= 1.0:
             raise ConfigurationError("decode_param_residency must be in (0, 1]")
+        # ``None`` is the paper's single-stream TA: a batch of one.
+        batch_config = batch_config or BatchConfig(max_batch_size=1)
+        if decode_param_residency < 1.0 and (
+            batch_config.max_batch_size > 1 or batch_config.prefix_sharing
+        ):
+            # Streaming shrinks the parameters while a concurrent prefill
+            # or an in-batch prefill chunk would need them all resident.
+            raise ConfigurationError(
+                "decode_param_residency < 1 needs max_batch_size=1 and no prefix sharing"
+            )
         self.decode_param_residency = decode_param_residency
         #: opt-in pipeline tracer (see :mod:`repro.sim.trace`).
         from ..sim.trace import NULL_TRACER
@@ -206,22 +215,21 @@ class LLMTA(TrustedApplication):
         self.cpu = Resource(stack.sim, capacity=1, priority=True, name="ta-cpu")
         self._initialized = False
         self._checkpoint_saved = False
-        #: continuous-batching mode (repro.core.batch); the engine itself
-        #: is wired by setup() once the data region exists.
+        #: every request decodes through the engine (repro.core.batch).
         self.batch_config = batch_config
-        self.batch_engine: Optional[DecodeBatchEngine] = None
-        self._prefill_lock: Optional[Resource] = None
-        if batch_config is not None:
-            self._prefill_lock = Resource(
-                stack.sim, capacity=1, name="prefill-lock:" + model.model_id
-            )
+        self.batch_engine = DecodeBatchEngine(self, batch_config)
+        self._prefill_lock = Resource(
+            stack.sim, capacity=1, name="prefill-lock:" + model.model_id
+        )
         #: framework state is resident while the batch engine has work.
         self._framework_resident = False
         #: gateway-held KV block reservations awaiting their dispatch.
         self._kv_reservations: Dict[int, int] = {}
-        #: the legacy (unbatched) path's live KV cache, if any — exposed
-        #: through ``kv_bytes_in_use`` so leak regressions are observable.
-        self._active_kv: Optional[KVCache] = None
+        #: §8 streaming decode, sized by setup(): the parameter prefix
+        #: kept resident while decoding and the suffix bytes streamed
+        #: from flash every step (0 = everything stays resident).
+        self.stream_keep_bytes = 0
+        self.stream_bytes = 0
         self.records: List[InferenceRecord] = []
         # Regions, plan and backend are wired by setup().
         self.plan: Optional[RestorationPlan] = None
@@ -229,7 +237,6 @@ class LLMTA(TrustedApplication):
         self.data_region: Optional[SecureRegion] = None
         self.backend: Optional[TEERestoreBackend] = None
         self.model_key: Optional[bytes] = None
-        self._npu_backend: Optional[NPUBackend] = None
 
     # ------------------------------------------------------------------
     # one-time setup (TA install + secure regions + key unwrap)
@@ -287,8 +294,11 @@ class LLMTA(TrustedApplication):
             self.file_path,
             self.model_key,
         )
-        if self.batch_config is not None:
-            self.batch_engine = DecodeBatchEngine(self, self.batch_config)
+        keep_groups = self.plan.groups_for_bytes(
+            int(self.plan.total_alloc_bytes * self.decode_param_residency)
+        )
+        self.stream_keep_bytes = self.plan.cached_prefix_bytes(keep_groups)
+        self.stream_bytes = sum(g.nominal_bytes for g in self.plan.groups[keep_groups:])
 
     def _region_name(self, kind: str) -> str:
         return "%s:%s" % (self.model.model_id, kind)
@@ -302,7 +312,10 @@ class LLMTA(TrustedApplication):
         size_obfuscation=None,
         batch_config: Optional[BatchConfig] = None,
     ):
-        """(params_bytes, data_bytes) the kernel must reserve at boot."""
+        """(params_bytes, data_bytes) the kernel must reserve at boot.
+
+        The data region holds the job context, worst-case activation
+        scratch, then the full KV block budget."""
         planning_graph = build_prefill_graph(model, container.tensors, 1, use_npu=False)
         plan = build_restoration_plan(planning_graph, granule)
         if size_obfuscation is not None:
@@ -310,14 +323,10 @@ class LLMTA(TrustedApplication):
 
             quantum = None if size_obfuscation == "uniform" else int(size_obfuscation)
             apply_size_obfuscation(plan, quantum)
-        if batch_config is None:
-            data = model.kv_bytes(max_tokens) + model.activation_bytes(max_tokens) + 4096
-        else:
-            # Batched layout: job ctx + worst-case activation scratch,
-            # then the full KV block budget.
-            budget = batch_config.resolved_budget(max_tokens)
-            block_bytes = model.kv_bytes(batch_config.block_tokens)
-            data = 4096 + model.activation_bytes(max_tokens) + budget * block_bytes
+        batch_config = batch_config or BatchConfig(max_batch_size=1)
+        budget = batch_config.resolved_budget(max_tokens)
+        block_bytes = model.kv_bytes(batch_config.block_tokens)
+        data = 4096 + model.activation_bytes(max_tokens) + budget * block_bytes
         data = -(-data // granule) * granule
         return plan.total_alloc_bytes, data
 
@@ -332,25 +341,17 @@ class LLMTA(TrustedApplication):
 
     @property
     def kv_bytes_in_use(self) -> int:
-        """Logical KV footprint across both decode paths: the legacy
-        path's live cache plus every pool block (active *and* parked).
+        """Logical KV footprint: every pool block (active *and* parked).
         The leak-regression tests pin this to zero after any faulted
         inference."""
-        total = 0
-        if self._active_kv is not None:
-            total += self._active_kv.bytes_used
-        if self.batch_engine is not None:
-            total += self.batch_engine.pool.bytes_used
-        return total
+        return self.batch_engine.pool.bytes_used
 
     # ------------------------------------------------------------------
-    # batched-mode admission surface (called synchronously by dispatch)
+    # batching-gateway admission surface (called synchronously by dispatch)
     # ------------------------------------------------------------------
     def kv_can_admit(
         self, prompt_tokens: int, output_tokens: int, request_id=None, spec=None
     ) -> bool:
-        if self.batch_engine is None:
-            return True
         return self.batch_engine.can_admit(prompt_tokens, output_tokens, request_id, spec)
 
     def kv_reserve(
@@ -360,8 +361,6 @@ class LLMTA(TrustedApplication):
         its attempt builds (or resumes) its paged cache.  With sharing
         and a :class:`PromptSpec`, only the predicted non-shared block
         count is held."""
-        if self.batch_engine is None:
-            return
         blocks = self.batch_engine.reserve(prompt_tokens, output_tokens, request_id, spec)
         if blocks:
             self._kv_reservations[request_id] = blocks
@@ -370,7 +369,7 @@ class LLMTA(TrustedApplication):
         """Drop every cached-but-unreferenced KV block (generator):
         flush the prefix tree, then shrink the data region if the TA is
         now fully drained.  Returns the number of residencies dropped."""
-        if self.batch_engine is None or self.batch_engine.tree is None:
+        if self.batch_engine.tree is None:
             return 0
         dropped = self.batch_engine.tree.flush()
         yield from self.batch_engine.maybe_release_region()
@@ -391,7 +390,8 @@ class LLMTA(TrustedApplication):
 
         ``preempt`` — an optional :class:`PreemptionGate`; when requested
         mid-decode, the request stops at the next token boundary, marks
-        its record ``preempted``, and releases transient memory normally.
+        its record ``preempted``, and releases transient memory normally
+        (or parks its KV blocks, when the gate says the caller resumes).
 
         ``ctx`` — an optional :class:`~repro.obs.TraceContext`: the
         request's identity from the serving gateway, threaded into the
@@ -399,9 +399,24 @@ class LLMTA(TrustedApplication):
         the TEE-lane spans that served it.
 
         ``prompt`` — an optional :class:`PromptSpec` describing the
-        prompt's shareable structure.  Only the batched engine with
-        ``prefix_sharing`` uses it: matching whole blocks are taken from
-        the prefix tree by reference and only the miss suffix prefills.
+        prompt's shareable structure.  Only ``prefix_sharing`` uses it:
+        matching whole blocks are taken from the prefix tree by
+        reference and only the miss suffix prefills.
+
+        Prefill serializes through the TA's prefill lock (one §4.1
+        restoration pipeline at a time); decode joins the
+        :class:`~repro.core.batch.DecodeBatchEngine`.  With
+        ``prefix_sharing`` and a :class:`PromptSpec`, the prompt's blocks
+        are taken through the prefix tree first — whole-block hits by
+        reference, divergent tails copy-on-write — and only the miss
+        suffix computes: on a fully-cached TA it runs as bounded chunks
+        *inside* the decode batch (no prefill lock at all), and on a
+        cold TA the restoration pipeline prices just the chunked
+        miss-suffix graph.  A parked sequence's resumed attempt skips
+        init and any completed prefill and continues the parked stream.
+        Block release is guaranteed exactly once by the try/finally —
+        unless the sequence parked, in which case the checkpoint owns the
+        blocks until resume.
         """
         if self.plan is None:
             raise ConfigurationError("setup() was not called")
@@ -413,6 +428,7 @@ class LLMTA(TrustedApplication):
                 % (prompt.prompt_tokens, prompt_tokens)
             )
         sim = self.sim
+        engine = self.batch_engine
         record = InferenceRecord(
             prompt_tokens=prompt_tokens,
             output_tokens=output_tokens,
@@ -421,160 +437,8 @@ class LLMTA(TrustedApplication):
             cached_bytes=self.params_region.protected,
             request_id=None if ctx is None else ctx.request_id,
         )
-        if self.batch_engine is not None:
-            record = yield from self._infer_batched(
-                prompt_tokens, output_tokens, preempt, ctx, record, prompt
-            )
-            return record
         switch_t0 = self.stack.tee_npu.world_switch_time
         smc0 = self.stack.board.monitor.smc_count
-
-        # --- framework init -------------------------------------------------
-        t0 = sim.now
-        yield from self._init_framework()
-        record.init_time = sim.now - t0
-
-        # --- KV cache + activations (second TZASC region, §4.2) -------------
-        # The region starts sized for the prompt's KV plus the fixed
-        # buffers; it *grows during decoding* as tokens are generated and
-        # is fully released afterwards (the Fig. 7b data-region pattern).
-        t0 = sim.now
-        granule = self.data_region.granule
-        fixed_bytes = self.model.activation_bytes(max(prompt_tokens, 1)) + 4096
-        data_bytes = fixed_bytes + self.model.kv_bytes(prompt_tokens)
-        data_bytes = -(-data_bytes // granule) * granule
-        yield from self.data_region.extend_allocated(data_bytes, threads=4)
-        yield from self.data_region.extend_protected(data_bytes)
-        yield sim.timeout(self.platform.timing.kv_activation_alloc)
-        record.data_setup_time = sim.now - t0
-        act_bytes = self.model.activation_bytes(max(prompt_tokens, 1))
-        job_ctx = AddrRange(self.data_region.base_addr + act_bytes, 4096)
-        self._npu_backend = TEECoDriverNPUBackend(
-            self.stack.tee_npu,
-            job_ctx,
-            duration_quantum=self.npu_duration_quantum,
-            job_timeout=self.recovery.npu_job_timeout,
-            max_reissues=self.recovery.npu_max_reissues,
-        )
-
-        def grow_kv(kv):
-            """Extend the data region as the KV cache outgrows it."""
-            needed = fixed_bytes + self.model.kv_bytes(kv.tokens + 1)
-            if needed > self.data_region.allocated:
-                delta = -(-(needed - self.data_region.allocated) // granule) * granule
-                yield from self.data_region.extend_allocated(delta, threads=1)
-                yield from self.data_region.extend_protected(delta)
-                record.kv_growth_extends += 1
-
-        # --- pipelined prefill ----------------------------------------------
-        graph = build_prefill_graph(
-            self.model,
-            self.container.tensors,
-            prompt_tokens,
-            use_npu=self.use_npu,
-            platform=self.platform,
-        )
-        pipeline = PrefillPipeline(
-            sim,
-            self.platform,
-            graph,
-            self.plan,
-            self.backend,
-            self._npu_backend,
-            cached_groups=record.cached_groups,
-            config=self.pipeline_config,
-            recovery=self.recovery,
-            tracer=self.tracer,
-            registry=self.metrics,
-            recorder=self.recorder,
-            ctx=ctx,
-        )
-        kv: Optional[KVCache] = None
-        try:
-            try:
-                record.pipeline = yield from pipeline.run()
-                record.ttft = sim.now - record.started_at
-                record.first_token_at = sim.now
-
-                # --- decode ---------------------------------------------------
-                if output_tokens > 0:
-                    executor = GraphExecutor(sim, self.platform, self.cpu, self._npu_backend)
-                    kv = KVCache(self.model, self.max_tokens)
-                    self._active_kv = kv
-                    kv.init_prompt(prompt_tokens)
-                    hook = grow_kv
-                    if self.decode_param_residency < 1.0:
-                        hook = yield from self._enter_streaming_decode(record, grow_kv)
-                    record.decode = yield from decode_tokens(
-                        executor,
-                        self.model,
-                        self.container.tensors,
-                        kv,
-                        output_tokens,
-                        use_npu=self.decode_use_npu,
-                        grow_hook=hook,
-                        stop_hook=preempt,
-                    )
-                    record.preempted = record.decode.stopped_early
-            except Exception:
-                # Failed restoration (I/O error, Iago detection): release
-                # all transient memory so the TA stays serviceable, then
-                # surface the error to the CA.
-                yield from self._recover()
-                raise
-        finally:
-            # The KV capacity must come back on *every* exit — success,
-            # preemption, or a fault thrown out of the decode loop (TEE
-            # job hang, watchdog ABANDONED, mid-decode OutOfMemory).
-            if kv is not None:
-                kv.reset()
-            self._active_kv = None
-
-        # --- release ----------------------------------------------------------
-        t0 = sim.now
-        yield from self.data_region.shrink_all()
-        keep_bytes = self.cache_policy.bytes_to_keep(self)
-        keep_groups = self.plan.groups_for_bytes(keep_bytes)
-        keep = self.plan.cached_prefix_bytes(keep_groups)
-        yield from self.backend.release_to(keep)
-        record.release_time = sim.now - t0
-
-        record.world_switch_time = self.stack.tee_npu.world_switch_time - switch_t0
-        record.smc_count = self.stack.board.monitor.smc_count - smc0
-        totals = record.decode_attribution
-        if totals is not None and self.metrics is not None:
-            counter = self.metrics.counter(
-                "decode_attribution_seconds_total",
-                "Decode latency per component (cpu/npu_compute/smc/sched_wait)",
-            )
-            for component, value in sorted(totals.items()):
-                counter.inc(value, component=component)
-        self.records.append(record)
-        return record
-
-    def _infer_batched(self, prompt_tokens, output_tokens, preempt, ctx, record, prompt=None):
-        """The continuous-batching request path (generator).
-
-        Without sharing, prefill serializes through the TA's prefill
-        lock (one §4.1 restoration pipeline at a time); decode joins the
-        shared :class:`~repro.core.batch.DecodeBatchEngine` and
-        co-executes with every other in-flight sequence.  With
-        ``prefix_sharing`` and a :class:`PromptSpec`, the prompt's
-        blocks are taken through the prefix tree first — whole-block
-        hits by reference, divergent tails copy-on-write — and only the
-        miss suffix computes: on a fully-cached TA it runs as bounded
-        chunks *inside* the decode batch (no prefill lock at all), and
-        on a cold TA the restoration pipeline prices just the chunked
-        miss-suffix graph.  Preemption evicts from the batch and *parks*
-        the KV block list keyed by the gateway request id; the resumed
-        attempt skips init and any completed prefill and continues the
-        parked stream.  Block release is guaranteed exactly once by the
-        try/finally — unless the sequence parked, in which case the
-        checkpoint owns the blocks until resume.
-        """
-        sim = self.sim
-        engine = self.batch_engine
-        record.batched = True
         request_id = record.request_id
         parked = None
         if request_id is not None:
@@ -641,13 +505,35 @@ class LLMTA(TrustedApplication):
                 lock_request = self._prefill_lock.request()
                 yield lock_request
                 try:
+                    # --- framework init -----------------------------------
                     t0 = sim.now
                     if not self._framework_resident:
                         yield from self._init_framework()
                         self._framework_resident = True
                     record.init_time = sim.now - t0
+                    # --- KV + activations (second TZASC region, §4.2) -----
+                    # The region is backed for the prompt's KV blocks plus
+                    # the fixed buffers before prefill; it *grows during
+                    # decoding* as tokens are generated and is fully
+                    # released once the TA drains.
                     t0 = sim.now
-                    yield from engine.ensure_backing()  # job ctx + scratch
+                    kv = PagedKVCache(engine.pool, reserved_blocks=reserved, owner=owner)
+                    reserved = 0  # the cache owns the hold now
+                    share = None
+                    if sharing:
+                        # Take the shared blocks first so the pipeline
+                        # only prices the miss suffix (restoration still
+                        # overlaps what compute remains).
+                        share = kv.init_prompt_shared(prompt, engine.tree)
+                        record.kv_hit_tokens = share.hit_tokens
+                        record.kv_cow_tokens = share.cow_tokens
+                        record.kv_miss_tokens = share.miss_tokens
+                    else:
+                        kv.init_prompt(prompt_tokens)
+                        if output_tokens > 0:
+                            # Back the first decode step's slot too.
+                            kv.ensure_capacity(prompt_tokens + 1)
+                    yield from engine.ensure_backing(threads=4)
                     yield sim.timeout(self.platform.timing.kv_activation_alloc)
                     record.data_setup_time = sim.now - t0
                     # Re-snapshot the cache state *under the lock*: a
@@ -656,18 +542,8 @@ class LLMTA(TrustedApplication):
                     # and re-loading a protected group would trap.
                     record.cached_groups = self.cached_groups
                     record.cached_bytes = self.params_region.protected
-                    if sharing:
-                        # Take the shared blocks first so the pipeline
-                        # only prices the miss suffix (restoration still
-                        # overlaps what compute remains).
-                        kv = PagedKVCache(
-                            engine.pool, reserved_blocks=reserved, owner=owner
-                        )
-                        reserved = 0
-                        share = kv.init_prompt_shared(prompt, engine.tree)
-                        record.kv_hit_tokens = share.hit_tokens
-                        record.kv_cow_tokens = share.cow_tokens
-                        record.kv_miss_tokens = share.miss_tokens
+                    # --- pipelined prefill --------------------------------
+                    if share is not None:
                         graph = build_chunked_prefill_graph(
                             self.model,
                             self.container.tensors,
@@ -706,17 +582,18 @@ class LLMTA(TrustedApplication):
                     try:
                         record.pipeline = yield from pipeline.run()
                     except Exception:
-                        yield from self._recover_batched()
+                        kv.release()
+                        yield from self._recover_prefill()
                         raise
+                    record.ttft = sim.now - record.started_at
+                    record.first_token_at = sim.now
+                    if output_tokens > 0 and self.decode_param_residency < 1.0:
+                        # Shrink under the lock: no restoration pipeline
+                        # may be growing the parameters meanwhile.
+                        yield from self._enter_streaming_decode(record)
                 finally:
                     self._prefill_lock.release(lock_request)
-                record.ttft = sim.now - record.started_at
-                record.first_token_at = sim.now
-                if kv is None:
-                    kv = PagedKVCache(engine.pool, reserved_blocks=reserved, owner=owner)
-                    reserved = 0  # the cache owns the hold now
-                    kv.init_prompt(prompt_tokens)
-                yield from engine.ensure_backing()
+                # --- decode -----------------------------------------------
                 if output_tokens > 0:
                     seq = engine.join(
                         kv,
@@ -735,6 +612,8 @@ class LLMTA(TrustedApplication):
                     record.ttft = seq.prefill_done_at - record.started_at
                     record.first_token_at = seq.prefill_done_at
                 record.decode = seq.result(stopped_early=(seq.state == "evicted"))
+                record.kv_growth_extends = seq.kv_extends
+                record.stream_sweeps = seq.stream_sweeps
                 if seq.state == "evicted":
                     record.preempted = True
                     if request_id is not None and request_id in engine.parked:
@@ -765,23 +644,20 @@ class LLMTA(TrustedApplication):
             if kv is not None and not parked_out:
                 kv.release()
             yield from engine.maybe_release_region()
+            # --- drain-time release, on every exit (params stay resident
+            # while any other sequence — active, waiting, or parked —
+            # still needs them) -------------------------------------------
+            t0 = sim.now
+            if engine.idle:
+                self._framework_resident = False
+                keep_bytes = self.cache_policy.bytes_to_keep(self)
+                keep_groups = self.plan.groups_for_bytes(keep_bytes)
+                keep = self.plan.cached_prefix_bytes(keep_groups)
+                yield from self.backend.release_to(keep)
+            record.release_time += sim.now - t0
 
-        # --- drain-time release (params stay resident while any other
-        # sequence — active, waiting, or parked — still needs them) -----
-        t0 = sim.now
-        if (
-            engine.inflight == 0
-            and not engine.active
-            and not engine.waiting
-            and not engine.parked
-        ):
-            self._framework_resident = False
-            keep_bytes = self.cache_policy.bytes_to_keep(self)
-            keep_groups = self.plan.groups_for_bytes(keep_bytes)
-            keep = self.plan.cached_prefix_bytes(keep_groups)
-            yield from self.backend.release_to(keep)
-        record.release_time = sim.now - t0
-
+        record.world_switch_time = self.stack.tee_npu.world_switch_time - switch_t0
+        record.smc_count = self.stack.board.monitor.smc_count - smc0
         totals = record.decode_attribution
         if totals is not None and self.metrics is not None:
             counter = self.metrics.counter(
@@ -793,73 +669,26 @@ class LLMTA(TrustedApplication):
         self.records.append(record)
         return record
 
-    def _recover_batched(self):
-        """Error-path cleanup for the batched TA (generator): a failed
-        restoration releases its own transient state, but parameters
-        other in-flight sequences are decoding against must survive —
-        only a fully idle TA can be swept clean."""
+    def _recover_prefill(self):
+        """Error-path cleanup for a failed restoration (generator).  It
+        may have protected a group whose decryption never ran, so no
+        prefix can be trusted as plaintext cache — but parameters other
+        in-flight sequences are decoding against must survive: only a
+        fully idle TA is swept clean."""
         yield from self.params_region.release_unprotected_tail()
         if self.batch_engine.inflight == 1 and self.batch_engine.pool.used_blocks == 0:
             self._framework_resident = False
             yield from self.backend.release_to(0)
 
-    def _enter_streaming_decode(self, record: "InferenceRecord", grow_kv):
-        """Shrink parameter memory to the residency target and return a
-        per-token hook that streams + decrypts the evicted suffix,
-        double-buffered against the current token's computation
-        (generator; the §8 offloading extension)."""
-        sim = self.sim
-        plan = self.plan
-        target = int(plan.total_alloc_bytes * self.decode_param_residency)
-        keep_groups = plan.groups_for_bytes(target)
-        keep_bytes = plan.cached_prefix_bytes(keep_groups)
-        streamed_nominal = sum(
-            g.nominal_bytes for g in plan.groups[keep_groups:]
-        )
-        t0 = sim.now
-        yield from self.backend.release_to(keep_bytes)
-        record.release_time += sim.now - t0
-        record.streamed_bytes_per_token = streamed_nominal
-        fs = self.stack.kernel.fs
-        decrypt_seconds = self.backend.decrypt_duration(streamed_nominal, 4)
-
-        def stream_once():
-            # Flash I/O for the evicted suffix (one sweep), then decrypt.
-            yield from fs.read(self.file_path, 0, 0, nominal=streamed_nominal)
-            request = self.cpu.request()
-            yield request
-            try:
-                yield sim.timeout(decrypt_seconds)
-            finally:
-                self.cpu.release(request)
-
-        state = {"pending": None}
-
-        def streaming_hook(kv):
-            yield from grow_kv(kv)
-            if streamed_nominal == 0:
-                return
-            # This token needs its sweep complete before computing: the
-            # first token fetches synchronously; later tokens wait on the
-            # prefetch issued during the previous token.
-            if state["pending"] is None:
-                yield sim.process(stream_once(), name="decode-stream")
-            else:
-                yield state["pending"]
-            # Prefetch the next token's sweep so it overlaps computation.
-            state["pending"] = sim.process(stream_once(), name="decode-stream")
-            record.stream_sweeps += 1
-
-        return streaming_hook
-
-    def _recover(self):
-        """Error-path cleanup (generator): drop the data region and all
-        parameter memory.  A failed restoration may have protected a
-        group whose decryption never ran, so no prefix can be trusted as
-        plaintext cache — release everything and start clean."""
-        yield from self.data_region.shrink_all()
-        yield from self.params_region.release_unprotected_tail()
-        yield from self.backend.release_to(0)
+    def _enter_streaming_decode(self, record: "InferenceRecord"):
+        """Shrink parameter memory to the residency target before decode
+        (generator; the §8 offloading extension).  The engine then
+        streams and decrypts the evicted suffix every step,
+        double-buffered against computation."""
+        t0 = self.sim.now
+        yield from self.backend.release_to(self.stream_keep_bytes)
+        record.release_time += self.sim.now - t0
+        record.streamed_bytes_per_token = self.stream_bytes
 
     def _init_framework(self):
         timing = self.platform.timing

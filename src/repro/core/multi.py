@@ -113,6 +113,7 @@ class TZLLMMulti:
             )
             ta.setup()
             self.tas[model.model_id] = ta
+            self.stack.board.monitor.register(self._smc_func(model.model_id), ta.infer)
         # One NPU co-driver serves every TA: its TZASC grants are the
         # union of all job-context regions (each TA re-points the list in
         # setup(); restore the union here).
@@ -135,6 +136,10 @@ class TZLLMMulti:
     def sim(self):
         return self.stack.sim
 
+    @staticmethod
+    def _smc_func(model_id: str) -> str:
+        return "tee.llm.infer:" + model_id
+
     def ta(self, model_id: str) -> LLMTA:
         try:
             return self.tas[model_id]
@@ -150,14 +155,22 @@ class TZLLMMulti:
         ctx=None,
         prompt=None,
     ):
-        """Generator: serve a request on the named model's TA.
+        """Generator: serve a request on the named model's TA, entering
+        it through the TZ driver's SMC exactly as :class:`TZLLM` does.
 
         ``ctx`` is an optional :class:`~repro.obs.TraceContext` for
         cross-world flow tracing; ``prompt`` an optional
         :class:`~repro.llm.PromptSpec` for the prefix-sharing path.
         """
-        record = yield from self.ta(model_id).infer(
-            prompt_tokens, output_tokens, preempt=preempt, ctx=ctx, prompt=prompt
+        self.ta(model_id)  # unknown model: ConfigurationError
+        yield self.sim.timeout(self.stack.spec.timing.ta_invoke_latency)
+        record = yield from self.stack.tz_driver.invoke_ta(
+            self._smc_func(model_id),
+            prompt_tokens,
+            output_tokens,
+            preempt=preempt,
+            ctx=ctx,
+            prompt=prompt,
         )
         return record
 

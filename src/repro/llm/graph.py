@@ -252,6 +252,14 @@ def build_decode_step_graph(
 _WEIGHT_OP_SUFFIXES = (".attn_proj", ".ffn_proj", "lm_head")
 
 
+def batched_attention_cost(model: ModelSpec, kv_token_counts: Sequence[int]):
+    """(flops, bytes) of one fused step's attention: every sequence reads
+    its own KV context, so both terms sum over the batch."""
+    flops = sum(4.0 * t * model.hidden for t in kv_token_counts)
+    nbytes = sum(t * model.kv_dim * 2 * model.kv_bytes_per_element for t in kv_token_counts)
+    return flops, nbytes
+
+
 def build_batched_decode_graph(
     model: ModelSpec,
     tensors: Sequence[TensorMeta],
@@ -279,10 +287,7 @@ def build_batched_decode_graph(
         raise ConfigurationError("batch must contain at least one sequence")
     batch = len(kv_token_counts)
     graph = build_prefill_graph(model, tensors, 1, use_npu=False)
-    kv_flops = sum(4.0 * t * model.hidden for t in kv_token_counts)
-    kv_bytes = sum(
-        t * model.kv_dim * 2 * model.kv_bytes_per_element for t in kv_token_counts
-    )
+    kv_flops, kv_bytes = batched_attention_cost(model, kv_token_counts)
     for op in graph.ops:
         if op.name.endswith(".attention"):
             op.flops = kv_flops

@@ -2,18 +2,17 @@
 
 Three layouts share this module:
 
-* :class:`KVCache` — the paper's deployed layout: one contiguous KV
-  range per request, initialized to the prompt size at prefill, grown by
-  one token per decode step, and fully released after the inference —
-  which is what lets it share a contiguous region with the fixed-size
-  activation buffers without fragmenting it.
-* :class:`KVBlockPool` + :class:`PagedKVCache` — the continuous-batching
-  extension (vLLM/Orca-style): the same data region carved into
-  fixed-size *token blocks*; each in-flight sequence holds a list of
-  block ids instead of a contiguous range, and a free list recycles
-  blocks between sequences.  The TZASC range itself stays a single
-  contiguous, end-grown span (``docs/batching.md`` explains why this
-  preserves the §4.2 no-fragmentation claim).
+* :class:`KVCache` — one dense KV range per request, initialized to the
+  prompt size at prefill and grown by one token per decode step.  Only
+  the unprotected REE baselines use it.
+* :class:`KVBlockPool` + :class:`PagedKVCache` — the TA's layout
+  (vLLM/Orca-style): the data region carved into fixed-size *token
+  blocks*; each in-flight sequence holds a list of block ids instead of
+  a contiguous range, and a free list recycles blocks between
+  sequences.  The TZASC range itself stays a single contiguous,
+  end-grown span that is fully released after the inference
+  (``docs/batching.md`` explains why this preserves the §4.2
+  no-fragmentation claim).
 * :class:`PrefixTree` over the same pool — shared-prefix KV reuse with
   per-block refcounts and copy-on-write.  Whole blocks of a prompt that
   hash to content a previous request already prefilled (the tenant's

@@ -213,8 +213,8 @@ class DecodeResult:
     #: ``smc`` (cross-world overhead: traps + secure-mode switches), and
     #: ``sched_wait`` (the rest: REE queueing, power-up, stalls, hooks).
     attribution: List[dict] = field(default_factory=list)
-    #: the loop was stopped by ``stop_hook`` before generating every token
-    #: (serving-level preemption; see :mod:`repro.serve`).
+    #: the sequence was evicted at a token boundary before generating
+    #: every token (serving-level preemption; see :mod:`repro.serve`).
     stopped_early: bool = False
 
     @property
@@ -239,21 +239,13 @@ def decode_tokens(
     n_tokens: int,
     use_npu: Union[bool, str] = "auto",
     cpu_priority: float = 0.0,
-    grow_hook=None,
-    stop_hook=None,
 ):
-    """The decode loop (generator; returns a :class:`DecodeResult`).
+    """The dense single-sequence decode loop (generator; returns a
+    :class:`DecodeResult`) the unprotected REE baselines run; the TA
+    decodes through :class:`~repro.core.batch.DecodeBatchEngine`.
 
     Engine choice is made once (it depends on weight sizes, not KV size);
     the attention operators are resized each step as the cache grows.
-    ``grow_hook(kv)`` — a generator-producing callable — runs before each
-    step so the caller can extend KV-cache backing memory as it grows
-    (the §4.2 behaviour: the KV region scales during decoding).
-    ``stop_hook()`` — a plain callable — is checked at every token
-    boundary; when it returns true the loop stops early with
-    ``stopped_early`` set, the preemption point the serving gateway uses
-    to yield the TA to a higher-priority request (same micro-granularity
-    idea as the §4.1 pipeline preemption, at token scale).
     """
     sim = executor.sim
     result = DecodeResult()
@@ -262,15 +254,10 @@ def decode_tokens(
     )
     attention_ops = [op for op in graph.ops if op.name.endswith(".attention")]
     for step in range(n_tokens):
-        if stop_hook is not None and stop_hook():
-            result.stopped_early = True
-            break
         start = sim.now
         cpu0 = executor.cpu_busy_time
         npu0 = executor.npu_busy_time
         smc0 = executor.npu_overhead_time
-        if grow_hook is not None:
-            yield from grow_hook(kv)
         kv_bytes = kv.tokens * model.kv_dim * 2 * model.kv_bytes_per_element
         for op in attention_ops:
             op.flops = 4.0 * kv.tokens * model.hidden

@@ -17,9 +17,8 @@ that is:
   discarded and the request re-queued at the head of its class — its
   cached parameter prefix survives, so the retry skips restoration.
 
-With ``batching=True`` (requires TAs built with a
-:class:`~repro.core.batch.BatchConfig`) a lane seats up to the TA's
-batch size of concurrently decoding requests: dispatch fills the batch
+With ``batching=True`` a lane seats up to the TA's
+:class:`~repro.core.batch.BatchConfig` batch size of concurrently decoding requests: dispatch fills the batch
 up to the KV-block budget before queueing, and preemption evicts a
 victim from the batch with its blocks *parked* so the resume skips both
 prefill and the already-decoded tokens.
@@ -62,8 +61,9 @@ class GatewayConfig:
     #: continuous batching: lanes hold up to the TA's batch size of
     #: concurrently decoding requests, dispatch fills the batch up to the
     #: KV-block budget, and preemption evicts from the batch with the
-    #: victim's blocks *parked* for a prefill-free resume.  Requires the
-    #: system's TAs to be built with a ``BatchConfig``.
+    #: victim's blocks *parked* for a prefill-free resume.  Without it a
+    #: lane runs one request at a time and a preempted victim is
+    #: discarded and retried from scratch.
     batching: bool = False
     policies: Dict[PriorityClass, ClassPolicy] = field(default_factory=default_policies)
     predictor_alpha: float = 0.3
@@ -185,13 +185,7 @@ class ServeGateway:
         self._tas: Dict[str, object] = {}
         if self.config.batching:
             for m in model_ids:
-                ta = system.tas[m] if self._multi_model else system.ta
-                if ta.batch_engine is None:
-                    raise ConfigurationError(
-                        "batching=True requires TAs built with a BatchConfig "
-                        "(model %r has no batch engine)" % m
-                    )
-                self._tas[m] = ta
+                self._tas[m] = system.tas[m] if self._multi_model else system.ta
         self.lanes: Dict[str, _Lane] = {}
         for m in model_ids:
             breaker = CircuitBreaker(
@@ -520,7 +514,9 @@ class ServeGateway:
             self.accountant.note_queue_depth(
                 request.priority, self.admission.depth(model_id, request.priority)
             )
-            gate = PreemptionGate()
+            # A batching gateway resumes its preempted requests from
+            # parked KV blocks; otherwise a victim is discarded and retried.
+            gate = PreemptionGate(park=ta is not None)
             lane.add(request, gate)
             lane.dispatched_at = self.sim.now
             self.sim.process(

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import TZLLM
 from repro.core.multi import TZLLMMulti
 from repro.errors import AccessDenied, ConfigurationError, SecurityViolation
 from repro.llm import TINYLLAMA
@@ -84,3 +85,28 @@ def test_duplicate_or_empty_model_lists_rejected():
         TZLLMMulti([])
     with pytest.raises(ConfigurationError):
         TZLLMMulti([TINYLLAMA, TINYLLAMA])
+
+
+def test_multi_model_request_enters_through_the_smc_like_tzllm():
+    """One way into the TA: a multi-model request pays the CA invoke
+    latency and counts its SMC exactly as a single-model one does."""
+    single = TZLLM(TINYLLAMA, cache_fraction=1.0)
+    multi = TZLLMMulti([TINYLLAMA], cache_fraction=1.0)
+    runs = (
+        (single, lambda: single.run_infer(32, 4)),
+        (multi, lambda: multi.run_infer(TINYLLAMA.model_id, 32, 4)),
+    )
+    seen = []
+    for system, run in runs:
+        run()  # cold start
+        monitor = system.stack.board.monitor
+        t0, smc0 = system.sim.now, monitor.smc_count
+        record = run()
+        timing = system.stack.spec.timing
+        assert record.started_at - t0 == pytest.approx(
+            timing.ta_invoke_latency + monitor.smc_latency
+        )
+        # The invoke SMC plus every SMC the TA issued while serving.
+        assert monitor.smc_count - smc0 == record.smc_count + 1
+        seen.append((record.smc_count, record.ttft, record.decode.token_ids))
+    assert seen[0] == seen[1]

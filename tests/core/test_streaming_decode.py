@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import TZLLM
+from repro.core import TZLLM, BatchConfig
 from repro.errors import ConfigurationError
 from repro.llm import TINYLLAMA
 
@@ -18,6 +18,14 @@ def test_residency_bounds_validated():
         TZLLM(TINYLLAMA, decode_param_residency=0.0)
     with pytest.raises(ConfigurationError):
         TZLLM(TINYLLAMA, decode_param_residency=1.5)
+
+
+def test_streaming_needs_a_single_stream_ta():
+    """A concurrent prefill would need the parameters streaming evicts."""
+    for config in (BatchConfig(max_batch_size=2), BatchConfig(max_batch_size=1, prefix_sharing=True)):
+        with pytest.raises(ConfigurationError):
+            TZLLM(TINYLLAMA, decode_param_residency=0.5, batch_config=config)
+    TZLLM(TINYLLAMA, decode_param_residency=0.5, batch_config=BatchConfig(max_batch_size=1))
 
 
 def test_streaming_reduces_resident_memory_during_decode():

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from repro import TINYLLAMA
 from repro.analysis import render_table
-from repro.core.multi import TZLLMMulti
+from repro.core.system import TZLLM
 from repro.serve import GatewayConfig, LoadGenerator, PriorityClass, ServeGateway
 from repro.workloads import TenantSpec, generate_multitenant_trace
 
@@ -40,9 +40,9 @@ TENANTS = [
 
 
 def main() -> None:
-    system = TZLLMMulti([ASSISTANT, SUMMARIZER], cache_fraction=1.0)
+    system = TZLLM([ASSISTANT, SUMMARIZER], cache_fraction=1.0)
     for model_id in system.tas:
-        system.run_infer(model_id, 8, 0)  # cold starts off the trace
+        system.run_infer(8, 0, model_id=model_id)  # cold starts off the trace
 
     trace = generate_multitenant_trace(HORIZON, TENANTS, seed=42)
     print("Trace: %d requests from %d tenants over %.0f simulated hours"

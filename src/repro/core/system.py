@@ -1,8 +1,8 @@
 """The evaluated systems (§7 baselines), wired end to end.
 
-* :class:`TZLLM` — the paper's system: LLM TA in the TEE, pipelined
-  restoration over CMA-ballooned secure memory, co-driver NPU, framework
-  checkpointing, partial parameter caching.  Feature flags expose every
+* :class:`TZLLM` — the paper's system: one LLM TA per protected model in
+  the TEE, pipelined restoration over CMA-ballooned secure memory,
+  co-driver NPU, framework checkpointing, partial parameter caching.  Feature flags expose every
   ablation the evaluation needs; :func:`strawman` builds the cold-start
   baseline (no pipeline, no NPU, no checkpoint).
 * :class:`REELLM` — the unprotected llama.cpp baselines: ``memory`` mode
@@ -10,12 +10,13 @@
   (pipelined restoration from flash with buddy pages, no decryption).
 
 All systems speak one interface: ``run_infer(prompt_tokens,
-output_tokens)`` returns an :class:`~repro.core.llm_ta.InferenceRecord`.
+output_tokens)`` returns an :class:`~repro.core.llm_ta.InferenceRecord`
+(a :class:`TZLLM` hosting several models also takes ``model_id=``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 from ..config import GiB, MiB, PlatformSpec, RK3588
 from ..crypto import derive_key
@@ -68,8 +69,8 @@ class _SystemBase:
     def sim(self):
         return self.stack.sim
 
-    def run_infer(self, prompt_tokens: int, output_tokens: int = 0) -> InferenceRecord:
-        proc = self.sim.process(self.infer(prompt_tokens, output_tokens))
+    def run_infer(self, prompt_tokens: int, output_tokens: int = 0, **kwargs) -> InferenceRecord:
+        proc = self.sim.process(self.infer(prompt_tokens, output_tokens, **kwargs))
         return self.sim.run_until(proc)
 
     def infer(self, prompt_tokens: int, output_tokens: int = 0):
@@ -82,11 +83,19 @@ class _SystemBase:
 
 
 class TZLLM(_SystemBase):
-    """The paper's system, end to end, with every ablation flag."""
+    """The paper's system, end to end, with every ablation flag.
+
+    ``model`` is one :class:`~repro.llm.models.ModelSpec` or a list of
+    them.  Each model gets its own LLM TA with its own address space,
+    wrapped key and two TZASC regions (§4.2); the TZC-400 has eight, so
+    at most four models fit on one board.  ``ta``, ``model`` and
+    ``container`` name the only TA's; ``tas`` maps every model id to
+    its TA.
+    """
 
     def __init__(
         self,
-        model: ModelSpec,
+        model: Union[ModelSpec, Sequence[ModelSpec]],
         platform: PlatformSpec = RK3588,
         granule: int = 1 * MiB,
         max_tokens: int = 1024,
@@ -108,83 +117,145 @@ class TZLLM(_SystemBase):
         device_name: str = "",
         device_seed=None,
     ):
-        self.model = model
+        models = [model] if isinstance(model, ModelSpec) else list(model)
         self.name = name
         self.device_name = device_name
-        # Sizing the boot-time CMA reservations needs the container's
+        if not models:
+            raise ConfigurationError("need at least one model")
+        ids = [m.model_id for m in models]
+        if len(set(ids)) != len(ids):
+            raise ConfigurationError("duplicate model ids")
+        slots_available = platform.trustzone.tzasc_regions
+        if 2 * len(models) > slots_available:
+            raise ConfigurationError(
+                "%d models need %d TZASC regions; the hardware has %d"
+                % (len(models), 2 * len(models), slots_available)
+            )
+        # Sizing the boot-time CMA reservations needs each container's
         # tensor table, which is independent of the device stack — build
-        # the container first against a scratch key schedule, then build
+        # the containers first against a scratch key schedule, then build
         # the stack, then provision for real.
-        probe_container = parse_container(
-            pack_model(model, derive_key(b"probe", model.model_id), derive_key(b"probe", "hw"))
-        )
-        params_bytes, data_bytes = LLMTA.cma_requirements(
-            model,
-            probe_container,
-            granule,
-            max_tokens,
-            size_obfuscation=size_obfuscation,
-            batch_config=batch_config,
-        )
+        cma_regions: Dict[str, int] = {}
+        for m in models:
+            probe = parse_container(
+                pack_model(m, derive_key(b"probe", m.model_id), derive_key(b"probe", "hw"))
+            )
+            params_bytes, data_bytes = LLMTA.cma_requirements(
+                m,
+                probe,
+                granule,
+                max_tokens,
+                size_obfuscation=size_obfuscation,
+                batch_config=batch_config,
+            )
+            cma_regions["%s:params" % m.model_id] = params_bytes
+            cma_regions["%s:data" % m.model_id] = data_bytes
+        total_cma = sum(cma_regions.values())
+        if total_cma + os_footprint > platform.memory.total_bytes:
+            raise ConfigurationError(
+                "models need %.1f GB of CMA; the board has %.1f GB"
+                % (total_cma / 1e9, platform.memory.total_bytes / 1e9)
+            )
         self.stack = build_stack(
             spec=platform,
             granule=granule,
             os_footprint=os_footprint,
-            cma_regions={
-                "%s:params" % model.model_id: params_bytes,
-                "%s:data" % model.model_id: data_bytes,
-            },
+            cma_regions=cma_regions,
             npu_reinit_on_switch=npu_reinit_on_switch,
             sim=sim,
             name=device_name,
             device_seed=device_seed,
         )
-        self.container = provision_model(self.stack, model)
-        self.stack.tee_os.grant_model_access(model.model_id, "llm-ta:" + model.model_id)
-        self.ta = LLMTA(
-            self.stack,
-            model,
-            self.container,
-            max_tokens=max_tokens,
-            use_checkpoint=use_checkpoint,
-            use_npu=use_npu,
-            decode_use_npu=decode_use_npu,
-            pipeline_config=pipeline_config,
-            cache_policy=FractionCachePolicy(cache_fraction),
-            size_obfuscation=size_obfuscation,
-            npu_duration_quantum=npu_duration_quantum,
-            decode_param_residency=decode_param_residency,
-            recovery=recovery,
-            batch_config=batch_config,
-        )
-        self.ta.setup()
+        self.tas: Dict[str, LLMTA] = {}
+        for m in models:
+            container = provision_model(self.stack, m)
+            self.stack.tee_os.grant_model_access(m.model_id, "llm-ta:" + m.model_id)
+            ta = LLMTA(
+                self.stack,
+                m,
+                container,
+                max_tokens=max_tokens,
+                use_checkpoint=use_checkpoint,
+                use_npu=use_npu,
+                decode_use_npu=decode_use_npu,
+                pipeline_config=pipeline_config,
+                cache_policy=FractionCachePolicy(cache_fraction),
+                size_obfuscation=size_obfuscation,
+                npu_duration_quantum=npu_duration_quantum,
+                decode_param_residency=decode_param_residency,
+                recovery=recovery,
+                batch_config=batch_config,
+            )
+            ta.setup()
+            self.tas[m.model_id] = ta
+            self.stack.board.monitor.register(self._smc_func(m.model_id), ta.infer)
+        # One NPU co-driver serves every TA: its TZASC grants are the
+        # union of all job-context regions (each TA's setup() points the
+        # list at its own two).
+        self.stack.tee_npu.allowed_slots = [
+            slot
+            for ta in self.tas.values()
+            for slot in (ta.params_region.tzasc_slot, ta.data_region.tzasc_slot)
+        ]
+        # One shared tracer covers every TA.
         self.tracer = None
         if trace:
             from ..sim.trace import Tracer
 
             self.tracer = Tracer(self.stack.sim)
-            self.ta.tracer = self.tracer
-        self.stack.board.monitor.register("tee.llm.infer", self.ta.infer)
+            for ta in self.tas.values():
+                ta.tracer = self.tracer
+
+    @staticmethod
+    def _smc_func(model_id: str) -> str:
+        return "tee.llm.infer:" + model_id
+
+    def _only(self, what: str) -> LLMTA:
+        if len(self.tas) != 1:
+            raise ConfigurationError(
+                "%s is ambiguous: this system hosts %s; name the model"
+                % (what, ", ".join(self.tas))
+            )
+        return next(iter(self.tas.values()))
+
+    @property
+    def ta(self) -> LLMTA:
+        return self._only("ta")
+
+    @property
+    def model(self) -> ModelSpec:
+        return self._only("model").model
+
+    @property
+    def container(self) -> ModelContainer:
+        return self._only("container").container
 
     def infer(
         self,
         prompt_tokens: int,
         output_tokens: int = 0,
+        *,
+        model_id: Optional[str] = None,
         preempt=None,
         ctx=None,
         prompt=None,
     ):
         """The client application's request path (generator).
 
+        ``model_id`` names the TA to enter; ``None`` means the only one.
         ``ctx`` is an optional :class:`~repro.obs.TraceContext` forwarded
         across the SMC into the TA for cross-world flow tracing.
         ``prompt`` is an optional :class:`~repro.llm.PromptSpec` the TA's
         prefix-sharing path (``BatchConfig.prefix_sharing``) uses to take
         shared KV blocks by reference.
         """
+        if model_id is None:
+            model_id = self.model.model_id
+        elif model_id not in self.tas:
+            raise ConfigurationError("no TA for model %r" % model_id)
         yield self.sim.timeout(self.stack.spec.timing.ta_invoke_latency)
         record = yield from self.stack.tz_driver.invoke_ta(
-            "tee.llm.infer",
+            self._smc_func(model_id),
             prompt_tokens,
             output_tokens,
             preempt=preempt,
@@ -195,14 +266,17 @@ class TZLLM(_SystemBase):
 
     def flush_kv(self):
         """Drop every cached-but-unreferenced shared KV block (generator):
-        the prefix tree empties and the data region shrinks if the TA is
+        each prefix tree empties and a data region shrinks if its TA is
         fully drained.  Returns the number of residencies dropped."""
-        dropped = yield from self.ta.flush_kv_cache()
+        dropped = 0
+        for ta in self.tas.values():
+            dropped += yield from ta.flush_kv_cache()
         return dropped
 
     def warm_cache(self, fraction: float) -> None:
-        """Set the cache policy fraction for subsequent releases."""
-        self.ta.cache_policy = FractionCachePolicy(fraction)
+        """Set every TA's cache policy fraction for subsequent releases."""
+        for ta in self.tas.values():
+            ta.cache_policy = FractionCachePolicy(fraction)
 
 
 def strawman(model: ModelSpec, platform: PlatformSpec = RK3588, **kwargs) -> TZLLM:

@@ -114,7 +114,7 @@ class FaultInjector:
         """Attach this injector to every fault site of ``target``.
 
         ``target`` may be a :class:`~repro.stack.Stack` or any system
-        object exposing one via ``.stack`` (``TZLLM``, ``TZLLMMulti``,
+        object exposing one via ``.stack`` (``TZLLM`` or
         ``REELLM``).  Returns self for chaining.
         """
         stack = getattr(target, "stack", target)

@@ -20,9 +20,10 @@ that drive the full simulator:
 * **decode** — weight-streaming bandwidth bound per token, the regime
   the paper measures for single-batch decode.
 
-It speaks the gateway's multi-model system protocol (a ``tas`` dict and
-a model-id-first ``infer`` generator yielding on the shared clock and
-returning an :class:`~repro.core.llm_ta.InferenceRecord`), so
+It speaks the gateway's system protocol (a ``tas`` dict and an
+``infer(prompt_tokens, output_tokens, *, model_id=...)`` generator
+yielding on the shared clock and returning an
+:class:`~repro.core.llm_ta.InferenceRecord`), so
 :class:`~repro.serve.gateway.ServeGateway` drives it unchanged — with
 admission, priorities, preemption gates, breakers and SLO accounting all
 still real.  Determinism: the surrogate holds no RNG at all.
@@ -250,9 +251,10 @@ class SurrogateLLM:
     # -- the serving interface -----------------------------------------
     def infer(
         self,
-        model_id: str,
         prompt_tokens: int,
         output_tokens: int = 0,
+        *,
+        model_id: Optional[str] = None,
         preempt=None,
         ctx=None,
     ):

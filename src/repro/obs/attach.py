@@ -38,19 +38,10 @@ def _resolve(stack, dotted):
 
 
 def iter_tas(target):
-    """The TAs of a single- or multi-model system, structurally.
-
-    Multi-model systems expose a ``tas`` dict of model_id -> TA; the
-    single-model ``TZLLM`` exposes ``ta`` (guarded against the bound
-    method some stand-ins use for that name).  Shared by
-    :meth:`Observability.attach` and the memory timeline's attach walk.
-    """
-    if getattr(target, "tas", None):
-        return list(target.tas.values())
-    ta = getattr(target, "ta", None)
-    if ta is not None and not callable(ta):
-        return [ta]
-    return []
+    """The TAs of a system's ``tas`` dict (none for a bare stack or
+    ``REELLM``).  Shared by :meth:`Observability.attach` and the memory
+    timeline's attach walk."""
+    return list(getattr(target, "tas", {}).values())
 
 
 class Observability:
@@ -67,7 +58,7 @@ class Observability:
         """Wire this bundle into every instrumented component of ``target``.
 
         ``target`` may be a :class:`~repro.stack.Stack` or any system
-        object exposing one via ``.stack`` (``TZLLM``, ``TZLLMMulti``,
+        object exposing one via ``.stack`` (``TZLLM`` or
         ``REELLM``).  Returns self for chaining.
         """
         stack = getattr(target, "stack", target)
@@ -81,8 +72,8 @@ class Observability:
         for region in stack.kernel.cma_regions.values():
             region.metrics = self.registry
             region.recorder = self.recorder
-        # TAs (single- or multi-model systems) take metrics for the
-        # pipeline phase accounting and the recorder for retry provenance.
+        # Every hosted TA takes metrics for the pipeline phase accounting
+        # and the recorder for retry provenance.
         for ta in iter_tas(target):
             ta.metrics = self.registry
             ta.recorder = self.recorder

@@ -9,7 +9,7 @@ deterministic simulation needs:
   asking for the same name with a different type raises
   :class:`~repro.errors.ConfigurationError`.
 * Every instrument supports **labels** passed as keyword arguments
-  (``counter.inc(func="tee.llm.infer")``).  A label set addresses an
+  (``counter.inc(func="ree.cma_alloc")``).  A label set addresses an
   independent time series inside the instrument.  ``class`` is a Python
   keyword, so call sites pass it as ``inc(**{"class": "interactive"})``.
 * Export is deterministic: :meth:`MetricsRegistry.render` produces

@@ -7,13 +7,16 @@ real ``cpu_read`` in the non-secure world, and it really raises
 :class:`~repro.errors.AccessDenied` instead of returning parameter bytes.
 
 Pages are materialized lazily (16 GiB of simulated RAM costs nothing
-until written).  There is no timing here — callers charge simulated time
-through their own cost models.
+until written).  A per-chunk bitmask indexes the materialized pages, so
+scrub, zeroing and page-migration copies cost host time in proportion to
+the pages actually written, not to the bytes they span.  There is no
+timing here — callers charge simulated time through their own cost
+models.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..config import PAGE_SIZE
 from ..errors import ConfigurationError
@@ -21,6 +24,11 @@ from .common import AddrRange, World
 from .tzasc import TZASC
 
 __all__ = ["PhysicalMemory"]
+
+#: pages per materialization-index chunk: one ``int`` bitmask each.
+_CHUNK_SHIFT = 8
+_CHUNK_PAGES = 1 << _CHUNK_SHIFT
+_ZEROS = memoryview(bytes(PAGE_SIZE))
 
 
 class PhysicalMemory:
@@ -32,6 +40,9 @@ class PhysicalMemory:
         self.total_bytes = total_bytes
         self.tzasc = tzasc if tzasc is not None else TZASC()
         self._pages: Dict[int, bytearray] = {}
+        #: chunk index -> bitmask of its materialized pages (bit ``i`` is
+        #: page ``chunk * _CHUNK_PAGES + i``); mirrors ``_pages``' keys.
+        self._chunks: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # bounds + raw access
@@ -47,7 +58,31 @@ class PhysicalMemory:
         if page is None:
             page = bytearray(PAGE_SIZE)
             self._pages[index] = page
+            chunk = index >> _CHUNK_SHIFT
+            self._chunks[chunk] = self._chunks.get(chunk, 0) | (1 << (index & (_CHUNK_PAGES - 1)))
         return page
+
+    def _materialized(self, base: int, size: int) -> List[int]:
+        """Indices of materialized pages overlapping ``[base, base+size)``,
+        ascending; ``size`` must be positive."""
+        first_page = base // PAGE_SIZE
+        last_page = (base + size - 1) // PAGE_SIZE
+        found: List[int] = []
+        chunks = self._chunks
+        for chunk in range(first_page >> _CHUNK_SHIFT, (last_page >> _CHUNK_SHIFT) + 1):
+            mask = chunks.get(chunk)
+            if not mask:
+                continue
+            head = chunk << _CHUNK_SHIFT
+            if head < first_page:
+                mask &= -1 << (first_page - head)
+            if last_page < head + _CHUNK_PAGES - 1:
+                mask &= (1 << (last_page - head + 1)) - 1
+            while mask:
+                low = mask & -mask
+                found.append(head + low.bit_length() - 1)
+                mask ^= low
+        return found
 
     def _raw_read(self, base: int, size: int) -> bytes:
         self._check_bounds(base, size)
@@ -102,8 +137,9 @@ class PhysicalMemory:
     def scrub(self, base: int, size: int, world: World) -> None:
         """Zero a range (TEE OS clears sensitive data before release).
 
-        Only materialized pages hold data, so only they need touching —
-        scrubbing gigabytes of never-written simulated RAM is free.
+        Only materialized pages hold data, so only they are touched: the
+        chunk index finds them, and scrubbing never-written simulated RAM
+        costs one dict probe per 256-page chunk spanned.
         """
         self.tzasc.check_cpu(AddrRange(base, size), world)
         self._zero_raw(base, size)
@@ -111,40 +147,37 @@ class PhysicalMemory:
     def _zero_raw(self, base: int, size: int) -> None:
         if size <= 0:
             return
-        first_page, first_off = divmod(base, PAGE_SIZE)
-        last_page = (base + size - 1) // PAGE_SIZE
-        span_pages = last_page - first_page + 1
-        if span_pages > len(self._pages):
-            candidates = [p for p in self._pages if first_page <= p <= last_page]
-        else:
-            candidates = [p for p in range(first_page, last_page + 1) if p in self._pages]
-        for page_index in candidates:
-            page = self._pages[page_index]
-            start = first_off if page_index == first_page else 0
-            end = (base + size) - page_index * PAGE_SIZE
-            end = min(PAGE_SIZE, end)
-            page[start:end] = b"\x00" * (end - start)
+        end = base + size
+        for page_index in self._materialized(base, size):
+            page_base = page_index * PAGE_SIZE
+            start = max(base - page_base, 0)
+            stop = min(end - page_base, PAGE_SIZE)
+            self._pages[page_index][start:stop] = _ZEROS[: stop - start]
 
     def copy_range(self, src: int, dst: int, size: int) -> None:
         """Raw copy that skips never-materialized (all-zero) source pages.
 
         Used by page migration: copying a mostly-untouched granule costs
-        nothing, exactly like copying zero pages costs the real kernel a
-        memset it would do anyway.
+        only its written pages, exactly like copying zero pages costs the
+        real kernel a memset it would do anyway.  The source is left as
+        it was; ``src`` and ``dst`` ranges must not overlap.
         """
         self._check_bounds(src, size)
         self._check_bounds(dst, size)
+        if size <= 0:
+            return
+        if src < dst + size and dst < src + size:
+            raise ConfigurationError(
+                "overlapping copy [0x%x, +0x%x) -> [0x%x, +0x%x)" % (src, size, dst, size)
+            )
         # Clear stale destination content first: absent source pages are
         # logically zero, and the copy must not leak a prior occupant.
         self._zero_raw(dst, size)
-        first_page = src // PAGE_SIZE
-        last_page = (src + size - 1) // PAGE_SIZE if size else first_page - 1
-        for page_index in range(first_page, last_page + 1):
-            page = self._pages.get(page_index)
-            if page is None:
-                continue
+        end = src + size
+        for page_index in self._materialized(src, size):
             page_base = page_index * PAGE_SIZE
             start = max(src, page_base)
-            end = min(src + size, page_base + PAGE_SIZE)
-            data = bytes(page[start - page_base : end - page_base])
-            self._raw_write(dst + (start - src), data)
+            stop = min(end, page_base + PAGE_SIZE)
+            self._raw_write(
+                dst + (start - src), self._pages[page_index][start - page_base : stop - page_base]
+            )

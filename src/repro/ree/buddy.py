@@ -17,6 +17,7 @@ and *insensitive to memory pressure* — the contrast with CMA migration.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import List
 
 from ..config import MemorySpec
@@ -81,8 +82,8 @@ class BuddyAllocator:
         for alloc in list(self._reclaimable):
             if freed >= n_frames:
                 break
-            victims = [f for f in alloc.frames if f not in self._cma_frames]
-            take = victims[: n_frames - freed]
+            outside = (f for f in alloc.frames if f not in self._cma_frames)
+            take = list(islice(outside, n_frames - freed))
             if not take:
                 continue
             self.db.release_frames(alloc, take)
@@ -139,19 +140,19 @@ class BuddyAllocator:
             remaining -= len(spilled)
         return self.db.claim(frames, movable=movable, tag=tag)
 
-    def allocate_one_outside(self, tag: str = "migration-dest") -> Allocation:
-        """Migration destination: strictly outside every CMA region.
+    def take_frame_outside(self) -> int:
+        """Pop a free frame strictly outside every CMA region, unclaimed.
 
         Falls back to dropping a reclaimable page when outside memory is
         exhausted — the behaviour that lets CMA allocation proceed under
-        full-memory stress (Fig. 3's high-pressure regime).
+        full-memory stress (Fig. 3's high-pressure regime).  The caller
+        owns the frame and must hand it to :meth:`FrameDB.move_frame`.
         """
         if not self._free_outside:
             self.reclaim_outside(1)
         if not self._free_outside:
             raise OutOfMemory("no free frames outside CMA for migration")
-        frame = heapq.heappop(self._free_outside)
-        return self.db.claim([frame], movable=True, tag=tag)
+        return heapq.heappop(self._free_outside)
 
     def free(self, alloc: Allocation) -> None:
         frames = list(alloc.frames)

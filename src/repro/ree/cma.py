@@ -226,11 +226,8 @@ class CMARegion:
                 "frame %d transiently pinned during migration out of %s"
                 % (frame, self.name)
             )
-        dest_alloc = self.buddy.allocate_one_outside()
-        dest = next(iter(dest_alloc.frames))
-        # The destination granule joins the owner allocation; the
-        # placeholder allocation record is dropped.
-        self.db.release(dest_alloc)
+        # The destination granule joins the owner allocation directly.
+        dest = self.buddy.take_frame_outside()
         if self.memory is not None:
             self.memory.copy_range(
                 self.db.frame_addr(frame), self.db.frame_addr(dest), self.db.granule

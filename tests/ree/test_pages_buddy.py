@@ -170,3 +170,93 @@ def test_buddy_lowest_index_first_determinism():
     buddy.free(a)
     b = buddy.allocate(4, movable=True)
     assert sorted(b.frames) == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# reclaim (pressure pages dropped to make room)
+# ---------------------------------------------------------------------------
+def make_buddy_with_cma(n_frames=64, cma_start=32):
+    from repro.config import MemorySpec
+    from repro.ree.cma import CMARegion
+    from repro.sim import Simulator
+
+    db = make_db(n_frames)
+    buddy = BuddyAllocator(db)
+    CMARegion(Simulator(), db, buddy, None, cma_start, n_frames - cma_start, MemorySpec())
+    buddy.finalize()
+    return db, buddy
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 24, 30, 100])
+def test_reclaim_outside_frees_min_of_request_and_outside_frames(n):
+    db, buddy = make_buddy_with_cma()
+    # Balanced placement: 24 frames outside the region, 24 inside.
+    alloc = buddy.allocate(48, movable=True, tag="pressure")
+    outside = [f for f in alloc.frames if f < 32]
+    inside = {f for f in alloc.frames if f >= 32}
+    assert len(outside) == len(inside) == 24
+    buddy.register_reclaimable(alloc)
+    free_before = buddy.free_outside_cma
+
+    freed = buddy.reclaim_outside(n)
+
+    expected = outside[: min(n, 24)]
+    assert freed == len(expected) == buddy.reclaimed_frames
+    assert buddy.free_outside_cma == free_before + freed
+    assert all(db.state(f) is FrameState.FREE for f in expected)
+    assert alloc.frames == set(outside[len(expected) :]) | inside
+    # CMA frames are never reclaimed; the allocation keeps them and so
+    # stays registered.
+    assert not alloc.freed
+    assert alloc in buddy._reclaimable
+
+
+def test_reclaim_outside_drops_drained_allocations_in_order():
+    _db, buddy = make_buddy_with_cma(cma_start=48)  # both land outside
+    first = buddy.allocate(4, movable=True, tag="a")
+    second = buddy.allocate(4, movable=True, tag="b")
+    buddy.register_reclaimable(first)
+    buddy.register_reclaimable(second)
+
+    assert buddy.reclaim_outside(6) == 6
+    assert first.freed
+    assert first not in buddy._reclaimable
+    assert second.n_frames == 2 and not second.freed
+    assert buddy._reclaimable == [second]
+
+    assert buddy.reclaim_outside(5) == 2
+    assert second.freed
+    assert buddy._reclaimable == []
+    assert buddy.reclaim_outside(1) == 0
+
+
+def test_cma_migration_under_exhausted_outside_memory_uses_reclaim():
+    from repro.config import RK3588
+    from repro.stack import build_stack
+    from repro.workloads import MemoryStress
+
+    stack = build_stack(
+        spec=RK3588.with_memory(256 * PG),
+        granule=PG,
+        os_footprint=0,
+        cma_regions={"params": 64 * PG},
+    )
+    kernel = stack.kernel
+    region = kernel.cma_regions["params"]
+    stress = MemoryStress(kernel, 256 * PG, headroom=0)
+    stress.start()
+    assert kernel.buddy.free_outside_cma == 0
+    run = range(region.start_frame, region.start_frame + 16)
+    occupied = sum(1 for f in run if kernel.db.state(f) is not FrameState.FREE)
+    assert occupied == 16
+
+    proc = stack.sim.process(region.allocate_range(region.start_frame, 16))
+    alloc = stack.sim.run_until(proc)
+
+    # Every destination came from a dropped pressure page.
+    assert kernel.buddy.reclaimed_frames == occupied
+    assert kernel.buddy.free_outside_cma == 0
+    assert region.total_migrated_bytes == occupied * PG
+    assert sorted(alloc.frames) == list(run)
+    assert stress.verify_surviving_pages() == stress.mapped_bytes // PG
+    stress.stop()

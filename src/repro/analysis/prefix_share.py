@@ -43,20 +43,6 @@ from .tables import render_table
 __all__ = ["PrefixShareReport", "TenantShareRow", "analyze_prefix_sharing"]
 
 
-def _prefill_seconds(platform, model, tokens: int, use_npu: bool) -> float:
-    """The fleet surrogate's analytic prefill time (kept in lockstep
-    with :meth:`~repro.fleet.surrogate.SurrogateLLM.prefill_time`)."""
-    if tokens <= 0:
-        return 0.0
-    flops = model.prefill_flops(tokens)
-    if use_npu:
-        cpu_frac = platform.timing.cpu_resident_prefill_fraction
-        npu_part = flops * (1.0 - cpu_frac) / (platform.npu.effective_gflops * 1e9)
-        cpu_part = flops * cpu_frac / (platform.cpu.effective_gflops * 1e9)
-        return platform.npu.job_launch_latency + npu_part + cpu_part
-    return flops / (platform.cpu.effective_gflops * 1e9)
-
-
 @dataclass
 class TenantShareRow:
     """Per-tenant accumulator of the replay."""
@@ -197,7 +183,11 @@ def analyze_prefix_sharing(
     ``model_id``\\ s; ``platform`` the :class:`~repro.config
     .PlatformSpec` used to price saved prefill work.  ``cache_blocks``
     bounds the cache (LRU eviction); ``None`` removes the bound.
+    Saved work is priced with the fleet surrogate's prefill formula.
     """
+    # Imported here: repro.fleet imports repro.analysis at module level.
+    from ..fleet.surrogate import prefill_seconds
+
     by_model = {m.model_id: m for m in models}
     # key -> True, ordered by recency.  Keys are tuples, never strings,
     # so prefix- and session-stream blocks cannot collide.
@@ -262,8 +252,8 @@ def analyze_prefix_sharing(
                 covered += block_tokens
 
         hit_tokens = min(prompt, (prefix_hits + session_hits) * block_tokens)
-        full = _prefill_seconds(platform, model, prompt, use_npu)
-        residual = _prefill_seconds(platform, model, prompt - hit_tokens, use_npu)
+        full = prefill_seconds(platform, model, prompt, use_npu)
+        residual = prefill_seconds(platform, model, prompt - hit_tokens, use_npu)
         saved = max(0.0, full - residual)
 
         report.requests += 1

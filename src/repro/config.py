@@ -72,10 +72,6 @@ class CPUSpec:
     #: per token); yields ~1.4 tok/s for 7.9 GB q8 weights.
     mem_bandwidth: float = 11.0 * GB
 
-    @property
-    def gflops_per_big_core(self) -> float:
-        return self.effective_gflops / self.big_cores
-
 
 @dataclass(frozen=True)
 class NPUSpec:
@@ -140,16 +136,6 @@ class TrustZoneSpec:
     tzasc_config_time: float = 20e-6
     tzpc_config_time: float = 20e-6
     gic_config_time: float = 20e-6
-
-    @property
-    def npu_world_switch_time(self) -> float:
-        """One direction of the co-driver secure-mode switch."""
-        return (
-            self.smc_latency
-            + self.tzasc_config_time
-            + self.tzpc_config_time
-            + self.gic_config_time
-        )
 
 
 @dataclass(frozen=True)

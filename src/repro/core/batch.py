@@ -1,9 +1,14 @@
-"""The TEE decode path: continuous batching (vLLM/Orca-style).
+"""The decode path: continuous batching (vLLM/Orca-style).
 
-Every LLM TA request decodes through one :class:`DecodeBatchEngine`.
-Built with ``BatchConfig(max_batch_size=1)`` — the default — it is the
-paper's deployed TA (§4.2): one inference at a time, a data region that
-grows while decoding and is fully released afterwards.  Larger batches
+Every decode runs through a :class:`DecodeBatchEngine` — the LLM TA's
+and the unprotected REE baselines' alike, so TZ-LLM's decode gap to
+REE-LLM (Fig. 11) measures only the co-driver's cost.  The host hands
+the engine its NPU backend (the TEE co-driver's, or the REE driver's)
+and its KV backing region: the TA's second TZASC region, or ``None`` on
+the REE, where KV lives in ordinary memory.  Built with
+``BatchConfig(max_batch_size=1)`` — the TA's default — it is the paper's
+deployed TA (§4.2): one inference at a time, a data region that grows
+while decoding and is fully released afterwards.  Larger batches
 multiplex the *decode* phase: every in-flight sequence runs through a
 shared fused :class:`~repro.llm.runtime.GraphExecutor` step, new
 sequences are admitted from a waiting queue at token boundaries, and a
@@ -193,7 +198,14 @@ class ParkedSequence:
 
 
 class DecodeBatchEngine:
-    """The continuous-batching decode scheduler for one LLM TA.
+    """The continuous-batching decode scheduler for one model's host.
+
+    The host is an :class:`~repro.core.llm_ta.LLMTA` or an
+    :class:`~repro.core.system.REELLM` baseline.  The engine reads its
+    ``sim``, ``model``, ``container``, ``max_tokens``, ``platform``,
+    ``cpu``, ``use_npu``, ``decode_use_npu``, ``metrics``, ``tracer``,
+    ``stream_bytes`` and ``data_region`` (``None`` on the REE), and
+    when streaming its ``stack``, ``file_path`` and ``backend``.
 
     A single stepper process runs while any sequence is active: each
     iteration it (1) evicts sequences whose preemption gate fired —
@@ -205,12 +217,12 @@ class DecodeBatchEngine:
     batched serving stays deterministic end to end.
     """
 
-    def __init__(self, ta, config: BatchConfig):
-        self.ta = ta
-        self.sim = ta.sim
+    def __init__(self, host, config: BatchConfig):
+        self.host = host
+        self.sim = host.sim
         self.config = config
         self.pool = KVBlockPool(
-            ta.model, config.block_tokens, config.resolved_budget(ta.max_tokens)
+            host.model, config.block_tokens, config.resolved_budget(host.max_tokens)
         )
         #: content-addressed residency index over the pool's blocks
         #: (``None`` when sharing is off: zero overhead, legacy behavior).
@@ -219,14 +231,15 @@ class DecodeBatchEngine:
         )
         #: job execution context + worst-case activation scratch, laid
         #: out ahead of the block span in the data region.
-        self.fixed_bytes = 4096 + ta.model.activation_bytes(ta.max_tokens)
-        self.npu_lock = Resource(self.sim, capacity=1, name="npu-lock:" + ta.model.model_id)
+        self.fixed_bytes = 4096 + host.model.activation_bytes(host.max_tokens)
+        self.npu_lock = Resource(self.sim, capacity=1, name="npu-lock:" + host.model.model_id)
         #: serializes data-region growth: two interleaved extensions
         #: would both observe the old end and balloon the same frames.
         self._backing_lock = Resource(
-            self.sim, capacity=1, name="backing-lock:" + ta.model.model_id
+            self.sim, capacity=1, name="backing-lock:" + host.model.model_id
         )
-        self._inner_npu: Optional[NPUBackend] = None
+        #: the host's NPU backend behind the prefill/decode lock; set by
+        #: :meth:`attach_npu` before the first request.
         self.npu_backend: Optional[SharedNPUBackend] = None
         self.waiting: Deque[BatchedSequence] = deque()
         self.active: List[BatchedSequence] = []
@@ -239,7 +252,7 @@ class DecodeBatchEngine:
         self._executor: Optional[GraphExecutor] = None
         #: fused-step graphs by batch size, with their attention ops.
         self._step_graphs: Dict[int, tuple] = {}
-        # engine-level stats (also exported through ta.metrics when set)
+        # engine-level stats (also exported through host.metrics when set)
         self.steps = 0
         self.tokens_generated = 0
         #: summed fused-step wall time: tokens_generated / busy_time is
@@ -302,10 +315,6 @@ class DecodeBatchEngine:
             self.inflight == 0 and not self.active and not self.waiting and not self.parked
         )
 
-    @property
-    def has_slot(self) -> bool:
-        return len(self.active) + len(self.waiting) < self.config.max_batch_size
-
     # ------------------------------------------------------------------
     # joining the batch
     # ------------------------------------------------------------------
@@ -325,7 +334,7 @@ class DecodeBatchEngine:
         self._seq_ids += 1
         seq = BatchedSequence(
             seq_id=self._seq_ids,
-            model_id=self.ta.model.model_id,
+            model_id=self.host.model.model_id,
             kv=kv,
             prompt_tokens=prompt_tokens,
             target_tokens=target_tokens,
@@ -339,7 +348,7 @@ class DecodeBatchEngine:
         self.waiting.append(seq)
         if self._stepper is None:
             self._stepper = self.sim.process(
-                self._run(), name="batch-decode:" + self.ta.model.model_id
+                self._run(), name="batch-decode:" + self.host.model.model_id
             )
         return seq
 
@@ -401,7 +410,7 @@ class DecodeBatchEngine:
     # data-region backing (end-grown to the pool's high-water mark)
     # ------------------------------------------------------------------
     def backing_bytes_needed(self) -> int:
-        granule = self.ta.data_region.granule
+        granule = self.host.data_region.granule
         needed = self.fixed_bytes + self.pool.backing_blocks * self.pool.block_bytes
         return -(-needed // granule) * granule
 
@@ -409,9 +418,10 @@ class DecodeBatchEngine:
         """Extend the data region to cover every allocated block
         (generator; the §4.2 growth path).  Returns whether it extended.
         ``threads`` parallelizes the REE's CMA migration: request setup
-        uses several, mid-decode growth one."""
-        region = self.ta.data_region
-        if self.backing_bytes_needed() <= region.allocated:
+        uses several, mid-decode growth one.  Without a region (the REE,
+        whose KV lives in ordinary memory) there is nothing to back."""
+        region = self.host.data_region
+        if region is None or self.backing_bytes_needed() <= region.allocated:
             return False
         request = self._backing_lock.request()
         yield request
@@ -433,34 +443,24 @@ class DecodeBatchEngine:
         """Shrink the data region once the TA is fully drained
         (generator).  End-only TZASC shrink means nothing can release
         while any sequence — active or parked — still owns blocks."""
+        region = self.host.data_region
         if (
-            self.inflight == 0
+            region is not None
+            and self.inflight == 0
             and self.pool.used_blocks == 0
             and not self.active
             and not self.waiting
-            and self.ta.data_region.allocated > 0
+            and region.allocated > 0
         ):
-            yield from self.ta.data_region.shrink_all()
+            yield from region.shrink_all()
 
     # ------------------------------------------------------------------
     # the stepper
     # ------------------------------------------------------------------
-    def _backend(self) -> SharedNPUBackend:
-        if self.npu_backend is None:
-            from ..hw.common import AddrRange
-            from ..llm.runtime import TEECoDriverNPUBackend
-
-            ta = self.ta
-            job_ctx = AddrRange(ta.data_region.base_addr, 4096)
-            self._inner_npu = TEECoDriverNPUBackend(
-                ta.stack.tee_npu,
-                job_ctx,
-                duration_quantum=ta.npu_duration_quantum,
-                job_timeout=ta.recovery.npu_job_timeout,
-                max_reissues=ta.recovery.npu_max_reissues,
-            )
-            self.npu_backend = SharedNPUBackend(self._inner_npu, self.npu_lock)
-        return self.npu_backend
+    def attach_npu(self, backend: NPUBackend) -> None:
+        """Take the host's NPU backend: prefill pipelines and the decode
+        stepper share it through :attr:`npu_backend`."""
+        self.npu_backend = SharedNPUBackend(backend, self.npu_lock)
 
     def _retire(self, seq: BatchedSequence, state: str, error=None) -> None:
         seq.state = state
@@ -507,8 +507,8 @@ class DecodeBatchEngine:
         self.tokens_generated += occupancy
         self.busy_time += step_time
         self.occupancy_steps[occupancy] = self.occupancy_steps.get(occupancy, 0) + 1
-        metrics = self.ta.metrics
-        model = self.ta.model.model_id
+        metrics = self.host.metrics
+        model = self.host.model.model_id
         if metrics is not None:
             metrics.gauge(
                 "batch_occupancy", "Sequences in the current fused decode step"
@@ -519,7 +519,7 @@ class DecodeBatchEngine:
             metrics.counter(
                 "batch_tokens_total", "Tokens generated by the batched decode path"
             ).inc(occupancy, model=model)
-        self.ta.tracer.counter("batch_occupancy:%s" % model, occupancy)
+        self.host.tracer.counter("batch_occupancy:%s" % model, occupancy)
 
     def _prefill_chunk(self, seq: BatchedSequence):
         """One bounded chunked-prefill step for ``seq`` (generator).
@@ -528,17 +528,17 @@ class DecodeBatchEngine:
         admission); this computes the KV content of the next
         ``prefill_chunk_tokens`` miss-suffix positions, attending over
         everything already resident — shared hits plus earlier chunks."""
-        ta = self.ta
+        host = self.host
         executor = self._executor
         chunk = min(self.config.prefill_chunk_tokens, seq.prefill_remaining)
         context = seq.prompt_tokens - seq.prefill_remaining
         graph = build_chunked_prefill_graph(
-            ta.model,
-            ta.container.tensors,
+            host.model,
+            host.container.tensors,
             chunk,
             context_tokens=context,
-            use_npu=ta.use_npu,
-            platform=ta.platform,
+            use_npu=host.use_npu,
+            platform=host.platform,
         )
         start = self.sim.now
         try:
@@ -568,19 +568,19 @@ class DecodeBatchEngine:
         is built once and its attention ops are resized every step."""
         cached = self._step_graphs.get(len(kv_token_counts))
         if cached is None:
-            ta = self.ta
+            host = self.host
             graph = build_batched_decode_graph(
-                ta.model,
-                ta.container.tensors,
+                host.model,
+                host.container.tensors,
                 kv_token_counts,
-                use_npu=ta.decode_use_npu,
-                platform=ta.platform,
+                use_npu=host.decode_use_npu,
+                platform=host.platform,
             )
             attention = [op for op in graph.ops if op.name.endswith(".attention")]
             self._step_graphs[len(kv_token_counts)] = (graph, attention)
             return graph
         graph, attention = cached
-        flops, nbytes = batched_attention_cost(self.ta.model, kv_token_counts)
+        flops, nbytes = batched_attention_cost(self.host.model, kv_token_counts)
         for op in attention:
             op.flops = flops
             op.bytes_touched = nbytes
@@ -589,14 +589,14 @@ class DecodeBatchEngine:
     def _stream_sweep(self):
         """One flash sweep of the parameter suffix streaming decode keeps
         evicted, then its decryption on the TA CPU (generator)."""
-        ta = self.ta
-        yield from ta.stack.kernel.fs.read(ta.file_path, 0, 0, nominal=ta.stream_bytes)
-        request = ta.cpu.request()
+        host = self.host
+        yield from host.stack.kernel.fs.read(host.file_path, 0, 0, nominal=host.stream_bytes)
+        request = host.cpu.request()
         yield request
         try:
-            yield self.sim.timeout(ta.backend.decrypt_duration(ta.stream_bytes, 4))
+            yield self.sim.timeout(host.backend.decrypt_duration(host.stream_bytes, 4))
         finally:
-            ta.cpu.release(request)
+            host.cpu.release(request)
 
     def _await_stream(self, seq: BatchedSequence):
         """Double-buffered streaming (generator; §8): this step needs its
@@ -614,9 +614,9 @@ class DecodeBatchEngine:
         """The stepper process: one fused decode step over the resident
         sequences, then at most one bounded prefill chunk for the oldest
         still-prefilling sequence, per iteration."""
-        ta = self.ta
+        host = self.host
         if self._executor is None:
-            self._executor = GraphExecutor(self.sim, ta.platform, ta.cpu, self._backend())
+            self._executor = GraphExecutor(self.sim, host.platform, host.cpu, self.npu_backend)
         executor = self._executor
         try:
             while True:
@@ -635,7 +635,7 @@ class DecodeBatchEngine:
                     for seq in batch:
                         seq.kv_extends += 1
                 if batch:
-                    if ta.stream_bytes:
+                    if host.stream_bytes:
                         yield from self._await_stream(batch[0])
                     graph = self._step_graph([seq.kv.tokens for seq in batch])
                     cpu0 = executor.cpu_busy_time
@@ -674,7 +674,7 @@ class DecodeBatchEngine:
                     self._note_step(len(batch), step_time)
                     for seq in batch:
                         seq.token_ids.append(
-                            sample_token(seq.model_id, seq.step_index, ta.model.vocab)
+                            sample_token(seq.model_id, seq.step_index, host.model.vocab)
                         )
                         seq.step_index += 1
                         seq.step_times.append(step_time)

@@ -24,12 +24,13 @@ from typing import Dict, List, Optional, Union
 from ..config import PlatformSpec
 from ..errors import ConfigurationError, StorageError
 from ..faults.recovery import RecoveryPolicy
+from ..hw.common import AddrRange
 from ..llm.checkpoint import cold_init, restore_checkpoint, save_checkpoint
 from ..llm.gguf import ModelContainer, container_path
 from ..llm.graph import build_chunked_prefill_graph, build_prefill_graph
 from ..llm.kv_cache import PagedKVCache, PromptSpec
 from ..llm.models import ModelSpec
-from ..llm.runtime import DecodeResult
+from ..llm.runtime import DecodeResult, TEECoDriverNPUBackend
 from ..llm.tokenizer import Tokenizer
 from ..sim import Resource
 from ..stack import Stack
@@ -282,6 +283,17 @@ class LLMTA(TrustedApplication):
             self.params_region.tzasc_slot,
             self.data_region.tzasc_slot,
         ]
+        # Secure jobs go through the co-driver, their execution context
+        # at the head of the data region.
+        self.batch_engine.attach_npu(
+            TEECoDriverNPUBackend(
+                stack.tee_npu,
+                AddrRange(self.data_region.base_addr, 4096),
+                duration_quantum=self.npu_duration_quantum,
+                job_timeout=self.recovery.npu_job_timeout,
+                max_reissues=self.recovery.npu_max_reissues,
+            )
+        )
         self.model_key = tee_os.unwrap_key_for(
             self, self.container.wrapped_key, self.model.model_id
         )
@@ -570,7 +582,7 @@ class LLMTA(TrustedApplication):
                         graph,
                         self.plan,
                         self.backend,
-                        engine._backend(),
+                        engine.npu_backend,
                         cached_groups=record.cached_groups,
                         config=self.pipeline_config,
                         recovery=self.recovery,

@@ -9,6 +9,12 @@
   (parameters resident; the theoretical best) and ``flash`` mode
   (pipelined restoration from flash with buddy pages, no decryption).
 
+Both decode through one loop, :class:`~repro.core.batch.DecodeBatchEngine`
+over a paged KV cache: the TA's with secure jobs through the co-driver
+and KV in its data region, the baselines' with jobs through the REE
+driver and KV in ordinary memory.  What separates their decode speeds
+is therefore only the co-driver's cost (Fig. 11).
+
 All systems speak one interface: ``run_infer(prompt_tokens,
 output_tokens)`` returns an :class:`~repro.core.llm_ta.InferenceRecord`
 (a :class:`TZLLM` hosting several models also takes ``model_id=``).
@@ -24,13 +30,15 @@ from ..errors import ConfigurationError
 from ..hw.common import AddrRange, World
 from ..llm.gguf import ModelContainer, container_path, pack_model, parse_container
 from ..llm.graph import build_prefill_graph
-from ..llm.kv_cache import KVCache
+from ..llm.kv_cache import PagedKVCache
 from ..llm.models import ModelSpec
-from ..llm.runtime import GraphExecutor, REEDriverNPUBackend, decode_tokens
+from ..llm.runtime import REEDriverNPUBackend
 from ..sim import Resource
+from ..sim.trace import NULL_TRACER
 from ..stack import Stack, build_stack
 from ..workloads.stress import MemoryStress
 from .backends import REERestoreBackend
+from .batch import BatchConfig, DecodeBatchEngine
 from .caching import FractionCachePolicy
 from .llm_ta import InferenceRecord, LLMTA
 from .pipeline import PipelineConfig, PrefillPipeline
@@ -337,6 +345,16 @@ class REELLM(_SystemBase):
         ctx_alloc = self.stack.kernel.alloc_unmovable(4096, tag="npu-ctx")
         ctx_addr = self.stack.kernel.db.frame_addr(min(ctx_alloc.frames))
         self.npu_backend = REEDriverNPUBackend(self.stack.ree_npu, AddrRange(ctx_addr, 4096))
+        # Decode runs in the TA's engine, a batch of one.  The KV lives
+        # in ordinary memory (priced by kv_activation_alloc), so there is
+        # no region to back; nothing here is instrumented or streamed.
+        self.platform = platform
+        self.data_region = None
+        self.metrics = None
+        self.tracer = NULL_TRACER
+        self.stream_bytes = 0
+        self.batch_engine = DecodeBatchEngine(self, BatchConfig(max_batch_size=1))
+        self.batch_engine.attach_npu(self.npu_backend)
         if mode == "memory":
             self._preload()
         self.records = []
@@ -386,20 +404,17 @@ class REELLM(_SystemBase):
         record.pipeline = yield from pipeline.run()
         record.ttft = sim.now - record.started_at
         if output_tokens > 0:
-            executor = GraphExecutor(sim, self.stack.spec, self.cpu, self.npu_backend)
-            kv = KVCache(self.model, self.max_tokens)
-            kv.init_prompt(prompt_tokens)
+            engine = self.batch_engine
+            kv = PagedKVCache(engine.pool)
             try:
-                record.decode = yield from decode_tokens(
-                    executor,
-                    self.model,
-                    self.container.tensors,
-                    kv,
-                    output_tokens,
-                    use_npu=self.decode_use_npu,
-                )
+                kv.init_prompt(prompt_tokens)
+                seq = engine.join(kv, prompt_tokens, output_tokens)
+                yield seq.done
+                if seq.state == "failed":
+                    raise seq.error
+                record.decode = seq.result()
             finally:
-                kv.reset()
+                kv.release()
         if self.release_after:
             yield from self.backend.release_to(0)
         self.records.append(record)

@@ -135,10 +135,6 @@ class FaultInjector:
         stack.tee_npu.fault_injector = None
 
     # ------------------------------------------------------------------
-    @property
-    def total_fired(self) -> int:
-        return sum(self.fired.values())
-
     def summary(self) -> Dict[str, Dict[str, int]]:
         """Deterministic per-site ``{checked, fired}`` export."""
         return {

@@ -31,7 +31,7 @@ still real.  Determinism: the surrogate holds no RNG at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..config import GiB, PlatformSpec, RK3588
@@ -40,7 +40,24 @@ from ..errors import ConfigurationError, DeviceLost
 from ..llm.models import ModelSpec
 from ..llm.runtime import DecodeResult
 
-__all__ = ["SurrogateConfig", "SurrogateLLM", "scale_platform"]
+__all__ = ["SurrogateConfig", "SurrogateLLM", "prefill_seconds", "scale_platform"]
+
+
+def prefill_seconds(
+    platform: PlatformSpec, model: ModelSpec, tokens: int, use_npu: bool
+) -> float:
+    """Analytic prefill time of ``tokens`` prompt tokens (0 for none):
+    the surrogate's TTFT compute term, and what the offline prefix-share
+    analyzer prices saved prefill work with."""
+    if tokens <= 0:
+        return 0.0
+    flops = model.prefill_flops(tokens)
+    if use_npu:
+        cpu_frac = platform.timing.cpu_resident_prefill_fraction
+        npu_part = flops * (1.0 - cpu_frac) / (platform.npu.effective_gflops * 1e9)
+        cpu_part = flops * cpu_frac / (platform.cpu.effective_gflops * 1e9)
+        return platform.npu.job_launch_latency + npu_part + cpu_part
+    return flops / (platform.cpu.effective_gflops * 1e9)
 
 
 def scale_platform(
@@ -168,14 +185,9 @@ class SurrogateLLM:
         return framework + model.param_bytes / bottleneck
 
     def prefill_time(self, model: ModelSpec, prompt_tokens: int) -> float:
-        spec = self.platform
-        flops = model.prefill_flops(max(1, prompt_tokens))
-        if self.config.use_npu:
-            cpu_frac = spec.timing.cpu_resident_prefill_fraction
-            npu_part = flops * (1.0 - cpu_frac) / (spec.npu.effective_gflops * 1e9)
-            cpu_part = flops * cpu_frac / (spec.cpu.effective_gflops * 1e9)
-            return spec.npu.job_launch_latency + npu_part + cpu_part
-        return flops / (spec.cpu.effective_gflops * 1e9)
+        return prefill_seconds(
+            self.platform, model, max(1, prompt_tokens), self.config.use_npu
+        )
 
     def decode_time_per_token(self, model: ModelSpec) -> float:
         """Single-batch decode streams the weights once per token."""

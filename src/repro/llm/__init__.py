@@ -3,7 +3,7 @@
 Model zoo (:mod:`repro.llm.models`), tensor tables with scaled payloads
 (:mod:`repro.llm.tensors`), the encrypted container format
 (:mod:`repro.llm.gguf`), the computation DAG (:mod:`repro.llm.graph`), the
-roofline cost model (:mod:`repro.llm.ops`), graph execution and decoding
+roofline cost model (:mod:`repro.llm.ops`), graph execution
 (:mod:`repro.llm.runtime`), framework checkpointing
 (:mod:`repro.llm.checkpoint`), the tokenizer and KV cache.
 """
@@ -15,13 +15,11 @@ from .graph import (
     ComputeOp,
     build_batched_decode_graph,
     build_chunked_prefill_graph,
-    build_decode_step_graph,
     build_prefill_graph,
 )
 from .kv_cache import (
     BlockCheckpoint,
     KVBlockPool,
-    KVCache,
     PagedKVCache,
     PrefixTree,
     PromptSpec,
@@ -38,7 +36,6 @@ from .runtime import (
     NPUBackend,
     REEDriverNPUBackend,
     TEECoDriverNPUBackend,
-    decode_tokens,
     sample_token,
 )
 from .tensors import TensorMeta, TensorRole, build_tensor_table, tensor_plaintext
@@ -58,7 +55,6 @@ __all__ = [
     "Engine",
     "GraphExecutor",
     "KVBlockPool",
-    "KVCache",
     "PagedKVCache",
     "ModelContainer",
     "ModelSpec",
@@ -75,13 +71,11 @@ __all__ = [
     "Tokenizer",
     "build_batched_decode_graph",
     "build_chunked_prefill_graph",
-    "build_decode_step_graph",
     "build_prefill_graph",
     "build_tensor_table",
     "checkpoint_path",
     "cold_init",
     "container_path",
-    "decode_tokens",
     "dequantize_q8",
     "get_model",
     "quantize_q8",

@@ -22,14 +22,13 @@ from ..config import PlatformSpec
 from ..errors import ConfigurationError
 from .models import ModelSpec
 from .ops import Engine, op_duration_with_launch
-from .tensors import TensorMeta, TensorRole
+from .tensors import TensorMeta
 
 __all__ = [
     "ComputeOp",
     "ComputationGraph",
     "build_prefill_graph",
     "build_chunked_prefill_graph",
-    "build_decode_step_graph",
     "build_batched_decode_graph",
 ]
 
@@ -65,12 +64,6 @@ class ComputationGraph:
 
     def op(self, op_id: int) -> ComputeOp:
         return self._by_id[op_id]
-
-    def total_flops(self) -> float:
-        return sum(op.flops for op in self.ops)
-
-    def total_param_bytes(self) -> int:
-        return sum(op.param_bytes for op in self.ops)
 
     def tensors_in_order(self) -> List[TensorMeta]:
         """Parameter tensors in first-use (topological) order."""
@@ -222,28 +215,6 @@ def build_chunked_prefill_graph(
             if op.name.endswith(".attention"):
                 op.flops = 4.0 * chunk_tokens * total * model.hidden
                 op.bytes_touched = total * model.kv_dim * 2
-    return graph
-
-
-def build_decode_step_graph(
-    model: ModelSpec,
-    tensors: Sequence[TensorMeta],
-    kv_tokens: int,
-    use_npu: Union[bool, str] = "auto",
-    platform: Optional[PlatformSpec] = None,
-) -> ComputationGraph:
-    """One decode iteration with ``kv_tokens`` of context (single token).
-
-    Decode is bandwidth-bound: each matmul streams its weights once; the
-    attention op additionally streams the KV cache.
-    """
-    graph = build_prefill_graph(model, tensors, 1, use_npu=use_npu, platform=platform)
-    # Patch the attention ops to read the accumulated KV cache.
-    kv_bytes = kv_tokens * model.kv_dim * 2 * model.kv_bytes_per_element
-    for op in graph.ops:
-        if op.name.endswith(".attention"):
-            op.flops = 4.0 * kv_tokens * model.hidden
-            op.bytes_touched = kv_bytes
     return graph
 
 

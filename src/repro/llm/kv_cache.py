@@ -1,16 +1,14 @@
 """KV-cache bookkeeping for the second TZASC region (§4.2).
 
-Three layouts share this module:
+There is one KV layout, used by every decode (the TA's and the REE
+baselines', both through :class:`~repro.core.batch.DecodeBatchEngine`):
 
-* :class:`KVCache` — one dense KV range per request, initialized to the
-  prompt size at prefill and grown by one token per decode step.  Only
-  the unprotected REE baselines use it.
-* :class:`KVBlockPool` + :class:`PagedKVCache` — the TA's layout
-  (vLLM/Orca-style): the data region carved into fixed-size *token
-  blocks*; each in-flight sequence holds a list of block ids instead of
-  a contiguous range, and a free list recycles blocks between
-  sequences.  The TZASC range itself stays a single contiguous,
-  end-grown span that is fully released after the inference
+* :class:`KVBlockPool` + :class:`PagedKVCache` (vLLM/Orca-style) — the
+  KV span carved into fixed-size *token blocks*; each in-flight sequence
+  holds a list of block ids instead of a contiguous range, and a free
+  list recycles blocks between sequences.  In the TA the span is the
+  data region, whose TZASC range stays a single contiguous, end-grown
+  span that is fully released after the inference
   (``docs/batching.md`` explains why this preserves the §4.2
   no-fragmentation claim).
 * :class:`PrefixTree` over the same pool — shared-prefix KV reuse with
@@ -40,7 +38,6 @@ from ..errors import ConfigurationError, OutOfMemory
 from .models import ModelSpec
 
 __all__ = [
-    "KVCache",
     "KVBlockPool",
     "PagedKVCache",
     "BlockCheckpoint",
@@ -55,47 +52,6 @@ __all__ = [
 # the prefix tree keeps its content resident for future reuse.
 _ACTIVE, _PARKED, _CACHED = 0, 1, 2
 _CATEGORY_NAMES = ("active", "parked", "cached")
-
-
-class KVCache:
-    """Token-count bookkeeping for the KV cache's memory footprint."""
-
-    def __init__(self, model: ModelSpec, capacity_tokens: int):
-        if capacity_tokens < 1:
-            raise ConfigurationError("capacity must be positive")
-        self.model = model
-        self.capacity_tokens = capacity_tokens
-        self.tokens = 0
-
-    @property
-    def bytes_used(self) -> int:
-        return self.model.kv_bytes(self.tokens)
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.model.kv_bytes(self.capacity_tokens)
-
-    def init_prompt(self, prompt_tokens: int) -> None:
-        if self.tokens:
-            # A retried prefill must go through reset() first; silently
-            # overwriting would leak the prior tokens from accounting.
-            raise ConfigurationError(
-                "init_prompt on a non-empty KV cache (%d tokens live)" % self.tokens
-            )
-        if prompt_tokens > self.capacity_tokens:
-            raise OutOfMemory(
-                "prompt of %d tokens exceeds KV capacity %d"
-                % (prompt_tokens, self.capacity_tokens)
-            )
-        self.tokens = prompt_tokens
-
-    def append_token(self) -> None:
-        if self.tokens + 1 > self.capacity_tokens:
-            raise OutOfMemory("KV cache full at %d tokens" % self.tokens)
-        self.tokens += 1
-
-    def reset(self) -> None:
-        self.tokens = 0
 
 
 @dataclass(frozen=True)
@@ -263,10 +219,6 @@ class KVBlockPool:
         """Block allocations avoided by sharing right now: holder
         references in excess of the physical blocks backing them."""
         return self.total_refs - (self._cats[_ACTIVE] + self._cats[_PARKED])
-
-    @property
-    def shared_saved_bytes(self) -> int:
-        return self.shared_saved_blocks * self.block_bytes
 
     @property
     def bytes_used(self) -> int:
@@ -618,13 +570,10 @@ class PrefixTree:
 class PagedKVCache:
     """One sequence's KV cache as a list of pool blocks.
 
-    Duck-compatible with :class:`KVCache` where the decode loop cares
-    (``tokens``, ``bytes_used``, ``init_prompt``, ``append_token``,
-    ``reset``), but growth allocates whole blocks from the shared pool
-    on boundary crossings instead of assuming a private contiguous
-    range.  ``release()`` (and its alias ``reset()``) is idempotent:
-    the TA's try/finally may race the engine's cleanup, and blocks must
-    go back to the free list exactly once.
+    Growth allocates whole blocks from the shared pool on boundary
+    crossings.  ``release()`` is idempotent: the TA's try/finally may
+    race the engine's cleanup, and blocks must go back to the free list
+    exactly once.
 
     With a :class:`PrefixTree`, :meth:`init_prompt_shared` walks the
     tree instead of allocating blindly: whole-block hits take references
@@ -658,10 +607,6 @@ class PagedKVCache:
     def bytes_used(self) -> int:
         """Physical footprint: whole blocks, not just live tokens."""
         return len(self.block_ids) * self.pool.block_bytes
-
-    @property
-    def capacity_tokens(self) -> int:
-        return self.pool.total_blocks * self.pool.block_tokens
 
     def _alloc_one(self) -> int:
         use_hold = self.reserved_blocks > 0
@@ -842,9 +787,6 @@ class PagedKVCache:
         if self.reserved_blocks:
             self.pool.cancel_reservation(self.reserved_blocks, owner=self.owner)
             self.reserved_blocks = 0
-
-    # The legacy decode paths call ``reset()``; same exactly-once release.
-    reset = release
 
     def park(self) -> BlockCheckpoint:
         """Checkpoint the block list for an evicted-but-resumable

@@ -10,7 +10,7 @@ computed from these specs — no magic totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..config import GB
 from ..errors import ConfigurationError
@@ -139,9 +139,6 @@ class ModelSpec:
             + (self.embed_params if self.tied_embeddings else 0)
         )
         return 2.0 * active * tokens
-
-    def decode_flops_per_token(self) -> float:
-        return self.prefill_flops(1)
 
 
 def _mk(**kwargs) -> ModelSpec:

@@ -4,34 +4,33 @@ The executor walks a computation graph in topological order (the chain
 llama.cpp schedules), charging each operator's roofline duration on its
 engine.  NPU operators are dispatched through a pluggable backend:
 
-* :class:`DirectNPUBackend` — idealized device (launch latency only); the
-  REE-LLM-Memory theoretical baseline.
+* :class:`DirectNPUBackend` — idealized device (launch latency only),
+  for driving the executor without a driver stack.
 * :class:`REEDriverNPUBackend` — jobs go through the full REE driver's
-  unified queue (so concurrent NN apps really contend; Fig. 15).
+  unified queue (so concurrent NN apps really contend; Fig. 15); the
+  REE-LLM baselines' backend.
 * :class:`TEECoDriverNPUBackend` — secure jobs through the co-driver
   (shadow scheduling, world switches, sequence checks; §4.3).
 
-The decode loop generates tokens one at a time, resizing the attention
-operators as the KV cache grows, and samples a deterministic next token
-so end-to-end output text is reproducible.
+There is one decode loop, :class:`~repro.core.batch.DecodeBatchEngine`,
+for the TA and the REE baselines alike; this module gives it the
+executor, :func:`sample_token` (a deterministic next token, so
+end-to-end output text is reproducible) and :class:`DecodeResult`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..config import PlatformSpec
 from ..errors import ConfigurationError
 from ..hw.common import AddrRange
 from ..hw.npu import NPUJob
 from ..sim import Resource, Simulator
-from .graph import ComputationGraph, ComputeOp, build_decode_step_graph
-from .kv_cache import KVCache
-from .models import ModelSpec
+from .graph import ComputationGraph, ComputeOp
 from .ops import Engine, op_duration
-from .tensors import TensorMeta
 
 __all__ = [
     "NPUBackend",
@@ -40,7 +39,6 @@ __all__ = [
     "TEECoDriverNPUBackend",
     "GraphExecutor",
     "DecodeResult",
-    "decode_tokens",
     "sample_token",
 ]
 
@@ -170,11 +168,11 @@ class GraphExecutor:
     def op_time(self, op: ComputeOp) -> float:
         return op_duration(op.flops, op.bytes_touched, self.platform, op.engine)
 
-    def run_op(self, op: ComputeOp, cpu_priority: float = 0.0):
+    def run_op(self, op: ComputeOp):
         """Execute a single operator (generator)."""
         duration = self.op_time(op)
         if op.engine == Engine.CPU:
-            request = self.cpu.request(priority=cpu_priority)
+            request = self.cpu.request()
             yield request
             try:
                 yield self.sim.timeout(duration)
@@ -192,10 +190,10 @@ class GraphExecutor:
             self.npu_busy_time += self.npu_backend.busy_time - busy0
             self.npu_overhead_time += self.npu_backend.overhead_time - overhead0
 
-    def execute(self, graph: ComputationGraph, cpu_priority: float = 0.0):
+    def execute(self, graph: ComputationGraph):
         """Run the whole chain (generator)."""
         for op in graph.ops:
-            yield from self.run_op(op, cpu_priority=cpu_priority)
+            yield from self.run_op(op)
 
 
 def sample_token(model_id: str, step: int, vocab: int) -> int:
@@ -229,53 +227,3 @@ class DecodeResult:
             for key in totals:
                 totals[key] += step.get(key, 0.0)
         return totals
-
-
-def decode_tokens(
-    executor: GraphExecutor,
-    model: ModelSpec,
-    tensors: List[TensorMeta],
-    kv: KVCache,
-    n_tokens: int,
-    use_npu: Union[bool, str] = "auto",
-    cpu_priority: float = 0.0,
-):
-    """The dense single-sequence decode loop (generator; returns a
-    :class:`DecodeResult`) the unprotected REE baselines run; the TA
-    decodes through :class:`~repro.core.batch.DecodeBatchEngine`.
-
-    Engine choice is made once (it depends on weight sizes, not KV size);
-    the attention operators are resized each step as the cache grows.
-    """
-    sim = executor.sim
-    result = DecodeResult()
-    graph = build_decode_step_graph(
-        model, tensors, kv.tokens, use_npu=use_npu, platform=executor.platform
-    )
-    attention_ops = [op for op in graph.ops if op.name.endswith(".attention")]
-    for step in range(n_tokens):
-        start = sim.now
-        cpu0 = executor.cpu_busy_time
-        npu0 = executor.npu_busy_time
-        smc0 = executor.npu_overhead_time
-        kv_bytes = kv.tokens * model.kv_dim * 2 * model.kv_bytes_per_element
-        for op in attention_ops:
-            op.flops = 4.0 * kv.tokens * model.hidden
-            op.bytes_touched = kv_bytes
-        yield from executor.execute(graph, cpu_priority=cpu_priority)
-        step_time = sim.now - start
-        result.step_times.append(step_time)
-        cpu_d = executor.cpu_busy_time - cpu0
-        npu_d = executor.npu_busy_time - npu0
-        smc_d = executor.npu_overhead_time - smc0
-        result.attribution.append(
-            {
-                "cpu": cpu_d,
-                "npu_compute": npu_d,
-                "smc": smc_d,
-                "sched_wait": max(0.0, step_time - cpu_d - npu_d - smc_d),
-            }
-        )
-        result.token_ids.append(sample_token(model.model_id, step, model.vocab))
-        kv.append_token()
-    return result

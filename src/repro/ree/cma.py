@@ -18,7 +18,7 @@ model can see when migration stole memory bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..config import MemorySpec
 from ..errors import (
@@ -106,13 +106,6 @@ class CMARegion:
     @property
     def size_bytes(self) -> int:
         return self.n_frames * self.db.granule
-
-    def occupied_frames_in(self, start: int, count: int) -> int:
-        return sum(
-            1
-            for frame in range(start, start + count)
-            if self.db.state(frame) is not FrameState.FREE
-        )
 
     # ------------------------------------------------------------------
     # buddy spill interface (movable pages parked in the region)

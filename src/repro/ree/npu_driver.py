@@ -19,7 +19,6 @@ import itertools
 from collections import deque
 from typing import Deque, Dict, Optional, Union
 
-from ..errors import DeviceError
 from ..hw.common import World
 from ..hw.npu import NPU, NPUJob
 from ..hw.platform import Board
@@ -215,15 +214,6 @@ class REENPUDriver:
     def _on_irq(self, irq: int, job: NPUJob) -> None:
         if self._running_done is not None and not self._running_done.triggered:
             self._running_done.succeed(job)
-
-    # ------------------------------------------------------------------
-    # control-plane costs
-    # ------------------------------------------------------------------
-    def reinitialize(self):
-        """Full driver re-init (the rejected detach-attach design, 32 ms)."""
-        self.initialized = False
-        yield self.sim.timeout(self.npu.spec.driver_reinit_time)
-        self.initialized = True
 
     # ------------------------------------------------------------------
     # attacks (compromised REE kernel)

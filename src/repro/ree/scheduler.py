@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Generator, List, Optional
 
 from ..errors import ConfigurationError
 from ..sim import Event, Simulator
@@ -77,10 +77,6 @@ class REEScheduler:
     def set_malicious_order(self, hook: Optional[Callable[[List[int]], List[int]]]) -> None:
         """Let an attacker permute the run queue at every dispatch."""
         self._order_hook = hook
-
-    @property
-    def alive_threads(self) -> int:
-        return sum(1 for t in self._threads.values() if not t.finished)
 
     def _enqueue(self, thread: REEThread) -> None:
         self._run_queue.append(thread.thread_id)

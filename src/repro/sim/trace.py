@@ -147,8 +147,9 @@ class Tracer:
         """Chrome trace-event JSON (load in chrome://tracing or Perfetto).
 
         Simulated seconds map to trace microseconds 1:1e6; lanes become
-        thread ids of one process.  Flow legs ride on their lane's tid so
-        the viewer binds them to the enclosing spans.
+        thread ids of one process, named by metadata events stamped at
+        ts 0 so every event carries a timestamp.  Flow legs ride on their
+        lane's tid so the viewer binds them to the enclosing spans.
         """
         lane_ids: Dict[str, int] = {lane: i + 1 for i, lane in enumerate(self.lanes())}
         events = []
@@ -158,6 +159,7 @@ class Tracer:
                     "ph": "M",
                     "pid": 1,
                     "tid": tid,
+                    "ts": 0,
                     "name": "thread_name",
                     "args": {"name": lane},
                 }

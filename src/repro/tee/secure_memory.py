@@ -21,10 +21,8 @@ All sizes are in granule multiples (the CMA's allocation unit).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import ConfigurationError, IagoViolation, MemoryError_
-from ..hw.common import AddrRange, World
+from ..hw.common import AddrRange
 from .ta import TrustedApplication
 
 __all__ = ["SecureRegion"]
@@ -162,9 +160,3 @@ class SecureRegion:
         if delta > 0:
             self.allocated -= delta
             yield from self.tee_os.tz_call("ree.cma_release", self.cma_name, delta)
-
-    def offset_range(self, offset: int, size: int) -> AddrRange:
-        """Address range at a byte offset within the region."""
-        if offset < 0 or offset + size > self.capacity:
-            raise ConfigurationError("offset range outside region capacity")
-        return AddrRange(self.base_addr + offset, size)

@@ -5,16 +5,16 @@ import pytest
 from repro.config import RK3588
 from repro.errors import ConfigurationError
 from repro.hw import AddrRange, Board
+from repro.core import REELLM
 from repro.llm import (
+    TINYLLAMA,
     Engine,
     GraphExecutor,
-    KVCache,
     DirectNPUBackend,
     REEDriverNPUBackend,
-    build_decode_step_graph,
+    build_batched_decode_graph,
     build_prefill_graph,
     build_tensor_table,
-    decode_tokens,
     get_model,
     op_duration,
 )
@@ -73,8 +73,8 @@ def test_decode_auto_engine_gain_increases_with_model_size():
     for model_id in ("tinyllama-1.1b-q8", "llama-3-8b-q8"):
         spec = get_model(model_id)
         table = build_tensor_table(spec)
-        cpu = total_time(build_decode_step_graph(spec, table, 128, use_npu=False, platform=PLATFORM))
-        auto = total_time(build_decode_step_graph(spec, table, 128, use_npu="auto", platform=PLATFORM))
+        cpu = total_time(build_batched_decode_graph(spec, table, [128], use_npu=False, platform=PLATFORM))
+        auto = total_time(build_batched_decode_graph(spec, table, [128], use_npu="auto", platform=PLATFORM))
         gains[model_id] = cpu / auto - 1.0
     # Paper §7.1.2: decode gains are modest, and bandwidth-bound decode
     # benefits large models more than small ones.
@@ -127,22 +127,16 @@ def test_executor_through_ree_driver_contends_for_npu():
 
 
 def test_decode_loop_grows_kv_and_counts_tokens():
-    sim = Simulator()
-    cpu = Resource(sim, capacity=1, priority=True)
-    executor = GraphExecutor(sim, PLATFORM, cpu, DirectNPUBackend(sim, PLATFORM))
-    spec = get_model("tinyllama-1.1b-q8")
-    table = build_tensor_table(spec)
-    kv = KVCache(spec, capacity_tokens=256)
-    kv.init_prompt(128)
-
-    proc = sim.process(decode_tokens(executor, spec, table, kv, 8, use_npu="auto"))
-    result = sim.run_until(proc)
+    system = REELLM(TINYLLAMA, "memory", decode_use_npu="auto")
+    record = system.run_infer(128, 8)
+    result = record.decode
     assert len(result.token_ids) == 8
     assert len(result.step_times) == 8
-    assert kv.tokens == 136
     assert result.tokens_per_second > 0
     # Later steps are (weakly) slower: attention reads a longer KV cache.
     assert result.step_times[-1] >= result.step_times[0]
+    # The 136-token sequence's blocks all went back to the pool.
+    assert system.batch_engine.pool.used_blocks == 0
 
 
 def test_decode_deterministic_tokens():

@@ -1,14 +1,15 @@
-"""Tests for tokenizer, KV cache, and framework checkpointing."""
+"""Tests for tokenizer, KV cache capacity, and framework checkpointing."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import RK3588, MiB, TimingSpec
+from repro.core import REELLM
 from repro.crypto import derive_key
 from repro.errors import ConfigurationError, IntegrityError, OutOfMemory
 from repro.hw import Board
-from repro.llm import KVCache, Tokenizer, get_model
+from repro.llm import TINYLLAMA, Tokenizer
 from repro.llm.checkpoint import (
     checkpoint_path,
     cold_init,
@@ -67,23 +68,20 @@ def test_tokenizer_roundtrips_word_text(word):
 # KV cache
 # ---------------------------------------------------------------------------
 def test_kv_growth_and_overflow():
-    spec = get_model("tinyllama-1.1b-q8")
-    kv = KVCache(spec, capacity_tokens=10)
-    kv.init_prompt(8)
-    assert kv.bytes_used == spec.kv_bytes(8)
-    kv.append_token()
-    kv.append_token()
+    # 32 tokens are two 16-token blocks: a request may fill them exactly.
+    system = REELLM(TINYLLAMA, "memory", max_tokens=32)
+    record = system.run_infer(24, 8)
+    assert len(record.decode.token_ids) == 8
     with pytest.raises(OutOfMemory):
-        kv.append_token()
-    kv.reset()
-    assert kv.tokens == 0
+        system.run_infer(24, 9)
+    assert system.batch_engine.pool.used_blocks == 0
 
 
 def test_kv_prompt_too_long_rejected():
-    spec = get_model("tinyllama-1.1b-q8")
-    kv = KVCache(spec, capacity_tokens=10)
+    system = REELLM(TINYLLAMA, "memory", max_tokens=32)
     with pytest.raises(OutOfMemory):
-        kv.init_prompt(11)
+        system.run_infer(33, 1)
+    assert system.batch_engine.pool.used_blocks == 0
 
 
 # ---------------------------------------------------------------------------
